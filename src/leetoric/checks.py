@@ -12,8 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import determinant, slot_offset
-from .leecode import PerfectLeeCode, generator_matrix, syndrome_slot_table
+from .lattice import determinant, hypercubes_from_lin
+from .leecode import PerfectLeeCode, generator_matrix
 from .interleave import InterleavingMap
 
 SWEEP_CHUNK = 1 << 20
@@ -68,18 +68,14 @@ def _check_determinant(code, map_, mode, samples, seed):
 
 
 def _check_orthogonality(code, map_, mode, samples, seed):
-    bad = [
-        row
-        for row in code.matrix
-        if sum(a * b for a, b in zip(code.h, row)) % code.q != 0
-    ]
+    bad = code.non_orthogonal_rows()
     if bad:
         return False, f"rows not orthogonal to h mod q: {bad}"
     return True, f"all {code.n} generator rows orthogonal to h = {code.h} mod {code.q}"
 
 
 def _check_residue_coverage(code, map_, mode, samples, seed):
-    cover = sorted({0} | {h % code.q for h in code.h} | {(-h) % code.q for h in code.h})
+    cover = code.syndrome_residues()
     ok = cover == list(range(code.q))
     return ok, f"{{0}} u {{+-h_i}} mod q = {cover}"
 
@@ -91,9 +87,7 @@ def _check_chain_membership(code, map_, mode, samples, seed):
         e_i = tuple(q if t == i else 0 for t in range(n))
         if not code.lattice_membership(e_i):
             problems.append(f"q*e_{i + 1} not in the code lattice")
-    for row in code.matrix:
-        if not code.lattice_membership(row):
-            problems.append(f"generator {row} not in the code lattice")
+    problems += [f"generator {row} not in the code lattice" for row in code.non_orthogonal_rows()]
     if code.lattice_membership(tuple(1 if t == 0 else 0 for t in range(n))):
         problems.append("e_1 unexpectedly in the code lattice")
     if q**n // q != code.n_codewords:
@@ -189,20 +183,13 @@ def _check_roundtrip(code, map_, mode, samples, seed):
 def _check_section_confinement(code, map_, mode, samples, seed):
     n, q, alpha = code.n, code.q, code.alpha
     if mode == "exhaustive":
-        h = np.array(code.h, dtype=np.int64)
-        slot_of = syndrome_slot_table(n)
-        offsets = np.array([slot_offset(b, n) for b in range(q)], dtype=np.int64)
         for start in range(0, map_.n_faces, SWEEP_CHUNK):
             chunk = np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
             j_logical = chunk // (q * alpha * code.codewords_per_section)
             o_logical = (chunk // q) % alpha
             lin, o_phys = np.divmod(map_.forward_indices(chunk), alpha)
-            anchor = np.empty((lin.shape[0], n), dtype=np.int64)
-            rest = lin
-            for col in range(n - 1, -1, -1):
-                rest, anchor[:, col] = np.divmod(rest, q)
-            point = (anchor - offsets[slot_of[(anchor @ h) % q]]) % q
-            if not np.array_equal(point[:, 0], j_logical):
+            j_phys = code.decode(hypercubes_from_lin(lin, q, n))[0]
+            if not np.array_equal(j_phys, j_logical):
                 return False, f"section leak in chunk at {start}"
             if not np.array_equal(o_phys, o_logical):
                 return False, f"orientation changed in chunk at {start}"

@@ -138,6 +138,16 @@ def entry() -> None:
     sys.exit(main())
 
 
+def _bulk_map(code: PerfectLeeCode, parser) -> InterleavingMap:
+    """The interleaving map of code, or a usage error if it overflows int64."""
+    map_ = InterleavingMap(code)
+    try:
+        map_.check_int64()
+    except ValueError as exc:
+        parser.error(str(exc))
+    return map_
+
+
 # -- params ---------------------------------------------------------------
 
 
@@ -186,7 +196,10 @@ def cmd_verify(args, parser) -> int:
     mode = args.mode or ("exhaustive" if args.n == 5 else "sampled")
     if mode == "exhaustive" and args.n != 5:
         parser.error("exhaustive verification is only supported for n = 5; use --mode sampled")
+    if args.samples < 1:
+        parser.error(f"--samples must be >= 1, got {args.samples}")
     code = generator_matrix(args.n)
+    _bulk_map(code, parser)
     if args.corrupt_generator:
         gens = build_generators(args.n)
         middle = list(gens.middle)
@@ -345,7 +358,7 @@ def cmd_simulate(args, parser) -> int:
     elif args.count is not None:
         parser.error("--count only applies to --model uniform-random")
     code = generator_matrix(args.n)
-    map_ = InterleavingMap(code)
+    map_ = _bulk_map(code, parser) if args.model == "uniform-random" else InterleavingMap(code)
     if args.count is not None and args.count > map_.n_faces:
         parser.error(f"--count exceeds the {map_.n_faces} faces of the lattice")
     start = time.perf_counter()
@@ -379,29 +392,20 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_export_map(args, parser) -> int:
-    code = generator_matrix(args.n)
-    map_ = InterleavingMap(code)
+    map_ = _bulk_map(generator_matrix(args.n), parser)
     chunk_size = 1 << 20
+    binary = args.format == "binary"
     try:
-        if args.format == "csv":
-            with open(args.out, "w", newline="") as fh:
+        with open(args.out, "wb" if binary else "w", newline=None if binary else "") as fh:
+            if not binary:
                 fh.write("logical,physical\n")
-                for start in range(0, map_.n_faces, chunk_size):
-                    logical = np.arange(
-                        start, min(start + chunk_size, map_.n_faces), dtype=np.int64
-                    )
-                    physical = map_.forward_indices(logical)
-                    fh.writelines(
-                        f"{l},{p}\n" for l, p in zip(logical.tolist(), physical.tolist())
-                    )
-        else:
-            with open(args.out, "wb") as fh:
-                for start in range(0, map_.n_faces, chunk_size):
-                    logical = np.arange(
-                        start, min(start + chunk_size, map_.n_faces), dtype=np.int64
-                    )
-                    physical = map_.forward_indices(logical)
+            for start in range(0, map_.n_faces, chunk_size):
+                logical = np.arange(start, min(start + chunk_size, map_.n_faces), dtype=np.int64)
+                physical = map_.forward_indices(logical)
+                if binary:
                     np.column_stack([logical, physical]).astype("<u8").tofile(fh)
+                else:
+                    fh.writelines(f"{l},{p}\n" for l, p in zip(logical.tolist(), physical.tolist()))
     except OSError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

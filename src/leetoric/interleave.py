@@ -19,11 +19,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .lattice import IntVector, slot_offset
-from .leecode import PerfectLeeCode, syndrome_slot_table
+from .lattice import IntVector, hypercube_lin_indices, hypercubes_from_lin
+from .leecode import PerfectLeeCode
 from .toric import FaceIndex, face_from_lin, face_lin_index, pair_from_rank
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
+INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -72,8 +73,9 @@ class InterleavingMap:
 
     Nothing is materialized: both directions cost O(n) arithmetic per
     query, so the map is usable at dimensions where the full table
-    (alpha * q^n entries) would not fit in memory.  The instance is
-    immutable and safe to share across workers.
+    (alpha * q^n entries) would not fit in memory.  The scalar methods
+    are exact at any n; the bulk ones run on the code's int64 kernel
+    and need n <= 12.  The instance is immutable and safe to share.
     """
 
     def __init__(self, code: PerfectLeeCode):
@@ -86,6 +88,14 @@ class InterleavingMap:
 
     def __repr__(self) -> str:
         return f"InterleavingMap(n={self.n}, q={self.q}, faces={self.n_faces})"
+
+    def check_int64(self) -> None:
+        """Raise ValueError unless every face index fits in int64."""
+        if self.n_faces > INT64_MAX:
+            raise ValueError(
+                f"n = {self.n} has {self.n_faces} faces, more than the int64"
+                f" limit 2^63 - 1 of the bulk index arithmetic (n <= 12)"
+            )
 
     # -- scalar map ------------------------------------------------------
 
@@ -100,9 +110,7 @@ class InterleavingMap:
         self._check_address(addr)
         block, t = divmod(addr.rank, self.block_size)
         host = self.code.codeword_from_rank(addr.section, t * q + addr.position)
-        anchor = tuple(
-            (c + d) % q for c, d in zip(host.point, slot_offset(block, self.n))
-        )
+        anchor = tuple((c + d) % q for c, d in zip(host.point, self.code.offsets[block]))
         return FaceIndex(anchor, pair_from_rank(addr.orientation, self.n))
 
     def physical_to_logical(self, face: FaceIndex) -> LogicalAddress:
@@ -148,66 +156,26 @@ class InterleavingMap:
 
     def forward_indices(self, logical: np.ndarray) -> np.ndarray:
         """Vectorized forward_index over an int64 array of logical indices."""
-        n, q, alpha = self.n, self.q, self.alpha
-        idx = np.asarray(logical, dtype=np.int64)
-        idx, p = np.divmod(idx, q)
+        self.check_int64()
+        q, alpha = self.q, self.alpha
+        idx, p = np.divmod(np.asarray(logical, dtype=np.int64), q)
         idx, o = np.divmod(idx, alpha)
         j, r = np.divmod(idx, self.code.codewords_per_section)
         block, t = np.divmod(r, self.block_size)
-        rank = t * q + p
-
-        rows = np.array(self.code.matrix, dtype=np.int64)
-        point = j[:, None] * rows[-1]
-        rank_rest, m_v = np.divmod(rank, q)
-        point = point + m_v[:, None] * rows[0]
-        for k in range(2, n - 1):
-            rank_rest, m_k = np.divmod(rank_rest, q)
-            point = point + m_k[:, None] * rows[k]
-        offsets = np.array([slot_offset(b, n) for b in range(q)], dtype=np.int64)
-        anchor = (point + offsets[block]) % q
-
-        weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        return (anchor @ weights) * alpha + o
+        anchor = self.code.encode(j, t * q + p, block)
+        return hypercube_lin_indices(anchor, q) * alpha + o
 
     def inverse_indices(self, physical: np.ndarray) -> np.ndarray:
         """Vectorized inverse_index over an int64 array of face indices."""
-        n, q, alpha = self.n, self.q, self.alpha
-        idx = np.asarray(physical, dtype=np.int64)
-        lin, o = np.divmod(idx, alpha)
-
-        anchor = np.empty((lin.shape[0], n), dtype=np.int64)
-        rest = lin.copy()
-        for col in range(n - 1, -1, -1):
-            rest, anchor[:, col] = np.divmod(rest, q)
-
-        h = np.array(self.code.h, dtype=np.int64)
-        syndrome = (anchor @ h) % q
-        slot = syndrome_slot_table(n)[syndrome]
-        offsets = np.array([slot_offset(b, n) for b in range(q)], dtype=np.int64)
-        point = (anchor - offsets[slot]) % q
-
-        rows = np.array(self.code.matrix, dtype=np.int64)
-        j = point[:, 0]
-        x = (point - j[:, None] * rows[-1]) % q
-        middle_digits = []
-        for k in range(2, n - 1):
-            m_k = x[:, k - 1]
-            x = (x - m_k[:, None] * rows[k]) % q
-            middle_digits.append(m_k)
-        m_v = x[:, n - 2]
-        x = (x - m_v[:, None] * rows[0]) % q
-        if np.any(x):
+        self.check_int64()
+        q, alpha = self.q, self.alpha
+        lin, o = np.divmod(np.asarray(physical, dtype=np.int64), alpha)
+        j, rank, slot, bad = self.code.decode(hypercubes_from_lin(lin, q, self.n))
+        if bad.any():
             raise AssertionError("inverse sweep hit a non-codeword point")
-        rank = m_v.copy()
-        scale = np.int64(q)
-        for m_k in middle_digits:
-            rank += m_k * scale
-            scale *= q
         t, p = np.divmod(rank, q)
         r = slot * self.block_size + t
-        return (
-            (j * self.code.codewords_per_section + r) * alpha + o
-        ) * q + p
+        return ((j * self.code.codewords_per_section + r) * alpha + o) * q + p
 
     def _check_address(self, addr: LogicalAddress) -> None:
         if not 0 <= addr.section < self.q:
@@ -263,31 +231,32 @@ def make_burst(
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     code = map_.code
-    n, q, alpha = map_.n, map_.q, map_.alpha
+    n, q = map_.n, map_.q
 
     faces: list[FaceIndex] = []
     centers: list[IntVector] = []
     if model == "uniform-random":
         if count is None or count < 0:
             raise ValueError("uniform-random model needs a nonnegative count")
+        map_.check_int64()
         for idx in _sample_distinct(rng, map_.n_faces, count):
             faces.append(face_from_lin(idx, n, q))
     elif model == "translate":
         center = tuple(int(x) for x in rng.integers(0, q, size=n))
         centers.append(center)
-        faces.extend(_sphere_errors(center, rng, n, q, alpha))
+        faces.extend(_sphere_errors(center, rng, code))
     elif model == "aligned":
         for j in range(q):
             r = int(rng.integers(0, code.codewords_per_section))
             center = code.codeword_from_rank(j, r).point
             centers.append(center)
-            faces.extend(_sphere_errors(center, rng, n, q, alpha))
+            faces.extend(_sphere_errors(center, rng, code))
     else:  # multi-translate
         seen: set[IntVector] = set()
         for j in range(q):
             center = (j,) + tuple(int(x) for x in rng.integers(0, q, size=n - 1))
             centers.append(center)
-            for face in _sphere_errors(center, rng, n, q, alpha):
+            for face in _sphere_errors(center, rng, code):
                 if face.anchor not in seen:
                     seen.add(face.anchor)
                     faces.append(face)
@@ -295,13 +264,14 @@ def make_burst(
 
 
 def _sphere_errors(
-    center: IntVector, rng: np.random.Generator, n: int, q: int, alpha: int
+    center: IntVector, rng: np.random.Generator, code: PerfectLeeCode
 ) -> Iterable[FaceIndex]:
     """One uniformly oriented errored face on each hypercube of a sphere."""
-    orientations = rng.integers(0, alpha, size=q)
-    for b in range(q):
-        anchor = tuple((c + d) % q for c, d in zip(center, slot_offset(b, n)))
-        yield FaceIndex(anchor, pair_from_rank(int(orientations[b]), n))
+    n, q = code.n, code.q
+    orientations = rng.integers(0, code.alpha, size=q)
+    for off, o in zip(code.offsets, orientations):
+        anchor = tuple((c + d) % q for c, d in zip(center, off))
+        yield FaceIndex(anchor, pair_from_rank(int(o), n))
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, k: int) -> list[int]:

@@ -2,13 +2,16 @@
 
 Vectors are plain tuples of Python ints and matrices are sequences of
 row vectors, so every computation in this module is exact; nothing here
-touches floating point.
+touches floating point.  The bulk twins of the linear-index maps take
+int64 arrays with one vector per row.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 IntVector = tuple[int, ...]
 
@@ -76,8 +79,9 @@ def slot_offset(b: int, n: int) -> IntVector:
     """Offset vector of Lee-sphere slot b.
 
     Slot 0 is the center; slot 2i-1 is +e_i and slot 2i is -e_i, for
-    i = 1..n.  This fixed order is shared by LeeSphere.members and the
-    interleaver's super-block layout.
+    i = 1..n.  This fixed order is shared by lee_sphere, the
+    PerfectLeeCode slot-offset table and the interleaver's super-block
+    layout.
     """
     if not 0 <= b <= 2 * n:
         raise ValueError(f"slot {b} out of range [0, {2 * n}]")
@@ -131,6 +135,22 @@ def hypercube_from_lin(idx: int, q: int, n: int) -> IntVector:
     for i in range(n - 1, -1, -1):
         idx, out[i] = divmod(idx, q)
     return tuple(out)
+
+
+def hypercube_lin_indices(z: np.ndarray, q: int) -> np.ndarray:
+    """Bulk hypercube_lin_index over the rows of an (m, n) int64 array.
+
+    Coordinates are not range-checked; the caller passes residues.
+    """
+    return z @ q ** np.arange(z.shape[1] - 1, -1, -1, dtype=np.int64)
+
+
+def hypercubes_from_lin(idx: np.ndarray, q: int, n: int) -> np.ndarray:
+    """Bulk hypercube_from_lin: an (m, n) int64 array of coordinates."""
+    out = np.empty((len(idx), n), dtype=np.int64)
+    for col in range(n - 1, -1, -1):
+        idx, out[:, col] = np.divmod(idx, q)
+    return out
 
 
 def _check_residues(v: Sequence[int], q: int) -> None:

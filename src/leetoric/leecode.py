@@ -7,6 +7,8 @@ assembled in ``generator_matrix``; that sublattice has index q in Z^n,
 which is why the q^{n-1} radius-1 Lee spheres centred on the codewords
 tile the q^n torus exactly once.  Perfection makes the syndrome decoder
 total: every point is within Lee distance 1 of exactly one codeword.
+The scalar methods of ``PerfectLeeCode`` are the exact Python-int
+reference; ``encode``/``decode`` are their bulk int64 kernel.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from .lattice import (
     _check_residues,
     canonical_rep,
     determinant,
-    hypercube_lin_index,
-    lee_sphere,
-    LeeSphere,
+    hypercube_lin_indices,
     slot_offset,
 )
 
@@ -38,20 +38,6 @@ def check_functional(n: int) -> IntVector:
     if n < 2:
         raise ValueError(f"dimension must be >= 2, got {n}")
     return tuple(range(1, n + 1))
-
-
-def syndrome_slot_table(n: int) -> np.ndarray:
-    """Sphere slot selected by each syndrome value.
-
-    Syndrome 0 is the center, s <= n means error +e_s (slot 2s-1) and
-    s > n means error -e_{q-s} (slot 2(q-s)).  Used by the vectorized
-    sweeps; the scalar decoder applies the same rule inline.
-    """
-    q = 2 * n + 1
-    table = np.zeros(q, dtype=np.int64)
-    for s in range(1, q):
-        table[s] = 2 * s - 1 if s <= n else 2 * (q - s)
-    return table
 
 
 @dataclass(frozen=True)
@@ -136,6 +122,17 @@ class PerfectLeeCode:
         self.matrix = generators.rows()
         self.h = check_functional(self.n) if h is None else h
         self.alpha = self.n * (self.n - 1) // 2
+        n, q = self.n, self.q
+        # The slot-offset table, built once: row b is slot_offset(b, n).
+        # Scalar callers read the tuples, the bulk kernel the array.
+        self.offsets = tuple(slot_offset(b, n) for b in range(q))
+        self._offsets = np.array(self.offsets, dtype=np.int64)
+        # Slot picked by each syndrome, the rule of decode_single: s <= n
+        # is the error +e_s (slot 2s-1), s > n is -e_{q-s} (slot 2(q-s)).
+        slots = [0] + [2 * s - 1 if s <= n else 2 * (q - s) for s in range(1, q)]
+        self._slot_of = np.array(slots, dtype=np.int64)
+        self._rows = np.array(self.matrix, dtype=np.int64)
+        self._h = np.array(self.h, dtype=np.int64)
 
     def __repr__(self) -> str:
         return f"PerfectLeeCode(n={self.n}, q={self.q})"
@@ -161,6 +158,15 @@ class PerfectLeeCode:
             raise ValueError(f"expected length {self.n}, got {len(x)}")
         return sum(a * b for a, b in zip(self.h, x)) % self.q == 0
 
+    def non_orthogonal_rows(self) -> list[IntVector]:
+        """Generator rows with h.row != 0 mod q; empty for a valid code."""
+        return [row for row in self.matrix if not self.lattice_membership(row)]
+
+    def syndrome_residues(self) -> list[int]:
+        """Sorted {0} u {+-h_i mod q}; the decoder is total iff this is Z_q."""
+        q = self.q
+        return sorted({0} | {h % q for h in self.h} | {-h % q for h in self.h})
+
     # -- code operations (residue vectors) ----------------------------
 
     def syndrome(self, x: Sequence[int]) -> int:
@@ -182,7 +188,8 @@ class PerfectLeeCode:
             else:
                 err[self.q - s - 1] = -1
         point = tuple((a - e) % self.q for a, e in zip(x, err))
-        return self.codeword_at(point), tuple(err)
+        j, r = self.rank_of(point)
+        return Codeword(point, j, r), tuple(err)
 
     def tile_assign(self, z: Sequence[int]) -> TileAssignment:
         """The unique (codeword, slot) with codeword + slot offset = z."""
@@ -193,10 +200,6 @@ class PerfectLeeCode:
                 slot = 2 * (i + 1) - (1 if e == 1 else 0)
                 break
         return TileAssignment(cw, slot)
-
-    def sphere_of(self, cw: Codeword) -> LeeSphere:
-        """The fundamental region tiled around a codeword."""
-        return lee_sphere(cw.point, self.q)
 
     # -- enumeration ---------------------------------------------------
 
@@ -254,16 +257,49 @@ class PerfectLeeCode:
         r = r * q + m_v
         return j, r
 
-    def codeword_at(self, point: Sequence[int]) -> Codeword:
-        """Wrap a codeword point with its (section, rank) labels."""
-        j, r = self.rank_of(point)
-        return Codeword(tuple(point), j, r)
-
     def iter_codewords(self) -> Iterator[Codeword]:
         """All q^{n-1} codewords, section-major then rank order."""
         for j in range(self.q):
             for r in range(self.codewords_per_section):
                 yield self.codeword_from_rank(j, r)
+
+    # -- bulk kernel (int64 arrays, one vector per row) -------------------
+
+    def encode(self, section: np.ndarray, rank: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """(m, n) anchors: codeword_from_rank(section, rank) + slot offset.
+
+        Inputs are 1-D int64 arrays of equal length, not range-checked.
+        """
+        q, rows = self.q, self._rows
+        rest, m_v = np.divmod(rank, q)
+        point = section[:, None] * rows[-1] + m_v[:, None] * rows[0]
+        for k in range(2, self.n - 1):
+            rest, m_k = np.divmod(rest, q)
+            point += m_k[:, None] * rows[k]
+        point += self._offsets[slot]
+        point %= q
+        return point
+
+    def decode(self, anchor: np.ndarray) -> tuple[np.ndarray, ...]:
+        """Split (m, n) residue anchors into (section, rank, slot, bad).
+
+        The bulk tile_assign: the syndrome picks the slot, and the point
+        left after removing its offset is peeled as in rank_of.  ``bad``
+        flags rows whose point is not on the generator lattice; their
+        section and rank are meaningless.
+        """
+        q, n, rows = self.q, self.n, self._rows
+        slot = self._slot_of[(anchor @ self._h) % q]
+        x = anchor - self._offsets[slot]
+        x %= q
+        digits = []
+        for col, row in [(0, n - 1)] + [(k - 1, k) for k in range(2, n - 1)] + [(n - 2, 0)]:
+            digits.append(x[:, col].copy())
+            x -= digits[-1][:, None] * rows[row]
+            x %= q
+        section, *middle, m_v = digits
+        rank = m_v + sum(m_k * q ** (i + 1) for i, m_k in enumerate(middle))
+        return section, rank, slot, x.any(axis=1)
 
     # -- distance certificates -----------------------------------------
 
@@ -276,16 +312,14 @@ class PerfectLeeCode:
         """
         for w in range(1, radius_cap + 1):
             for vec in weight_w_vectors(self.n, w, self.q):
-                if sum(a * b for a, b in zip(self.h, vec)) % self.q == 0:
+                if self.lattice_membership(vec):
                     return MinDistanceResult(w, vec, True)
         return MinDistanceResult(radius_cap + 1, None, False)
 
     def codewords_of_weight(self, w: int) -> list[IntVector]:
         """All codewords of exact Mannheim weight w, as centered vectors."""
         return [
-            vec
-            for vec in weight_w_vectors(self.n, w, self.q)
-            if sum(a * b for a, b in zip(self.h, vec)) % self.q == 0
+            vec for vec in weight_w_vectors(self.n, w, self.q) if self.lattice_membership(vec)
         ]
 
     def section_subcode_distance(self) -> int:
@@ -314,38 +348,34 @@ class PerfectLeeCode:
     ) -> "PackingReport":
         """Certify that the codeword spheres tile Z_q^n exactly once.
 
-        ``exhaustive`` enumerates every codeword sphere, counts occupancy
-        over all q^n hypercubes, and re-checks tile_assign on every
-        hypercube.  ``sampled`` checks tile assignment validity on
-        ``samples`` seeded-random hypercubes (vectorized, with a scalar
-        cross-check on a small subsample).
+        ``exhaustive`` encodes every (codeword, slot) pair in
+        iter_codewords then slot order, reports repeats in that order,
+        counts the gaps, and re-checks the scalar tile_assign on every
+        hypercube.  ``sampled`` decodes ``samples`` seeded-random
+        hypercubes in bulk, checks that each decoded slot carries the
+        hypercube's syndrome, and re-checks the scalar tile_assign on
+        the first 1000.
         """
         if mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown verification mode: {mode!r}")
         n, q = self.n, self.q
         report = PackingReport(n=n, q=q, mode=mode)
 
-        cover = sorted({0} | {h % q for h in self.h} | {(-h) % q for h in self.h})
+        cover = self.syndrome_residues()
         report.residue_coverage_ok = cover == list(range(q))
         if not report.residue_coverage_ok:
             report.add_violation(f"syndrome residues cover only {cover}")
 
         if mode == "exhaustive":
-            occupancy = bytearray(q**n)
-            offsets = [slot_offset(b, n) for b in range(q)]
-            for cw in self.iter_codewords():
-                report.spheres_placed += 1
-                for off in offsets:
-                    idx = hypercube_lin_index(
-                        [(c + d) % q for c, d in zip(cw.point, off)], q
-                    )
-                    if occupancy[idx]:
-                        report.add_violation(
-                            f"hypercube index {idx} covered more than once"
-                        )
-                    else:
-                        occupancy[idx] = 1
-            gaps = occupancy.count(0)
+            cw, slot = np.divmod(np.arange(q**n, dtype=np.int64), q)
+            section, rank = np.divmod(cw, self.codewords_per_section)
+            lin = hypercube_lin_indices(self.encode(section, rank, slot), q)
+            report.spheres_placed = self.n_codewords
+            first = np.zeros(len(lin), dtype=bool)
+            first[np.unique(lin, return_index=True)[1]] = True
+            for idx in lin[~first].tolist():
+                report.add_violation(f"hypercube index {idx} covered more than once")
+            gaps = q**n - np.count_nonzero(first)
             if gaps:
                 report.add_violation(f"{gaps} hypercubes not covered by any sphere")
             for z in itertools.product(range(q), repeat=n):
@@ -356,12 +386,10 @@ class PerfectLeeCode:
 
         rng = np.random.default_rng(seed)
         z = rng.integers(0, q, size=(samples, n), dtype=np.int64)
-        h = np.array(self.h, dtype=np.int64)
-        slot_of = syndrome_slot_table(n)
-        offsets = np.array([slot_offset(b, n) for b in range(q)], dtype=np.int64)
-        point = (z - offsets[slot_of[(z @ h) % q]]) % q
+        slot = self.decode(z)[2]
+        slot_syndrome = (self._offsets @ self._h) % q
         report.hypercubes_checked = samples
-        for i in np.nonzero((point @ h) % q)[0]:
+        for i in np.nonzero((z @ self._h) % q != slot_syndrome[slot])[0]:
             report.add_violation(
                 f"tile_assign broken at {tuple(int(x) for x in z[i])}"
             )
@@ -415,11 +443,10 @@ def generator_matrix(n: int) -> PerfectLeeCode:
     det = determinant(code.matrix)
     if abs(det) != code.q:
         raise AssertionError(f"|det| = {abs(det)} != q = {code.q}")
-    for row in code.matrix:
-        if not code.lattice_membership(row):
-            raise AssertionError(f"generator {row} not orthogonal to h mod q")
-    cover = {0} | {h % code.q for h in code.h} | {(-h) % code.q for h in code.h}
-    if cover != set(range(code.q)):
+    bad = code.non_orthogonal_rows()
+    if bad:
+        raise AssertionError(f"generator {bad[0]} not orthogonal to h mod q")
+    if code.syndrome_residues() != list(range(code.q)):
         raise AssertionError("syndrome residues do not cover Z_q")
     return code
 

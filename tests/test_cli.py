@@ -1,3 +1,4 @@
+import hashlib
 import json
 from pathlib import Path
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from leetoric.cli import main
+from leetoric.interleave import InterleavingMap
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -82,6 +84,18 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
         assert "covered more than once" in out
+        assert (
+            "FAIL packing: 175693 violations, first: ['hypercube index 140 covered"
+            " more than once', 'hypercube index 1350 covered more than once',"
+            " 'hypercube index 148 covered more than once']"
+        ) in out
+
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_degenerate_samples_rejected(self, capsys, samples):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--n", "8", "--mode", "sampled", "--samples", samples])
+        assert exc.value.code == 2
+        assert "--samples must be >= 1" in capsys.readouterr().err
 
     def test_exhaustive_rejected_above_n5(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -107,6 +121,43 @@ class TestVerify:
             "--samples", "1000", "--format", "json",
         )
         assert first == second
+
+
+class TestInt64Limit:
+    """n = 13 has alpha*q^n > 2^63 - 1 faces: bulk commands must refuse it."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "13"],
+            ["simulate", "--n", "13", "--model", "uniform-random", "--count", "5"],
+        ],
+    )
+    def test_bulk_command_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "int64 limit 2^63 - 1" in capsys.readouterr().err
+
+    def test_export_rejected_before_output_opened(self, tmp_path, capsys, monkeypatch):
+        def unreachable(self, logical):
+            raise AssertionError("export-map ran the bulk map at n = 13")
+
+        # Without the guard the export would run for ever on wrapped indices.
+        monkeypatch.setattr(InterleavingMap, "forward_indices", unreachable)
+        out_path = tmp_path / "map13.csv"
+        with pytest.raises(SystemExit) as exc:
+            main(["export-map", "--n", "13", "--out", str(out_path)])
+        assert exc.value.code == 2
+        assert "int64 limit 2^63 - 1" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    def test_scalar_simulate_still_runs(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", "--n", "13", "--model", "translate", "--trials", "2"
+        )
+        assert code == 0
+        assert "success rate 1.000000" in out
 
 
 class TestTables:
@@ -247,6 +298,9 @@ class TestExportMap:
         assert np.array_equal(raw[:, 0], np.arange(1_610_510, dtype=np.uint64))
         physical = np.sort(raw[:, 1])
         assert np.array_equal(physical, np.arange(1_610_510, dtype=np.uint64))
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "43ccf66e1590333e3ebcce0994de6267c5ff31437c979ced820c106f3e459a20"
+        )
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "out.csv"

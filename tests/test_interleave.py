@@ -6,6 +6,7 @@ import pytest
 
 from leetoric.interleave import (
     BurstPattern,
+    InterleavingMap,
     LogicalAddress,
     deinterleave_and_correct,
     interleaved_params,
@@ -14,6 +15,7 @@ from leetoric.interleave import (
     trial_rng,
 )
 from leetoric.lattice import lee_distance
+from leetoric.leecode import generator_matrix
 from leetoric.toric import FaceIndex
 
 
@@ -127,6 +129,26 @@ class TestBulkMap:
         assert np.array_equal(map6.inverse_indices(fwd), idx)
         for i in range(0, 2000, 41):
             assert fwd[i] == map6.forward_index(int(idx[i]))
+
+    @pytest.mark.parametrize("n", range(7, 13))
+    def test_bulk_matches_scalar_up_to_top_index(self, n):
+        map_ = InterleavingMap(generator_matrix(n))
+        top = map_.n_faces
+        rng = np.random.default_rng(100 + n)
+        idx = np.concatenate(
+            [[0, 1, top - 2, top - 1], rng.integers(0, top, size=60, dtype=np.int64)]
+        ).astype(np.int64)
+        fwd = map_.forward_indices(idx)
+        assert [int(f) for f in fwd] == [map_.forward_index(int(i)) for i in idx]
+        assert np.array_equal(map_.inverse_indices(fwd), idx)
+
+    def test_bulk_rejects_int64_overflow(self):
+        map13 = InterleavingMap(generator_matrix(13))
+        assert map13.n_faces > np.iinfo(np.int64).max
+        for bulk in (map13.forward_indices, map13.inverse_indices):
+            with pytest.raises(ValueError, match="int64"):
+                bulk(np.array([0], dtype=np.int64))
+        assert map13.inverse_index(map13.forward_index(map13.n_faces - 1)) == map13.n_faces - 1
 
     def test_sampled_roundtrip_n6(self, map6):
         rng = np.random.default_rng(33)

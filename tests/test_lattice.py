@@ -8,6 +8,8 @@ from leetoric.lattice import (
     centered,
     determinant,
     hypercube_from_lin,
+    hypercube_lin_indices,
+    hypercubes_from_lin,
     hypercube_lin_index,
     lee_distance,
     lee_sphere,
@@ -192,6 +194,8 @@ class TestHypercubeLinIndex:
         for col in range(n - 1, -1, -1):
             rest, back[:, col] = np.divmod(rest, q)
         assert np.array_equal(back, z)
+        assert np.array_equal(hypercube_lin_indices(z, q), lin)
+        assert np.array_equal(hypercubes_from_lin(lin, q, n), z)
         spot = [int(i) for i in rng.integers(0, len(z), size=50)]
         for i in spot:
             vec = tuple(int(x) for x in z[i])

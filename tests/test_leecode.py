@@ -1,6 +1,7 @@
 import random
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from leetoric.lattice import determinant, lee_distance, mannheim_weight
@@ -210,6 +211,54 @@ class TestTileAssign:
             z = tuple(rnd.randrange(11) for _ in range(5))
             ta = code5.tile_assign(z)
             assert lee_distance(z, ta.codeword.point, 11) <= 1
+
+
+class TestBulkKernel:
+    def test_decode_matches_scalar_tile_assign(self, code5):
+        rng = np.random.default_rng(6)
+        z = rng.integers(0, 11, size=(3000, 5), dtype=np.int64)
+        section, rank, slot, bad = code5.decode(z)
+        assert not bad.any()
+        for i in range(0, 3000, 7):
+            ta = code5.tile_assign(tuple(int(x) for x in z[i]))
+            assert (ta.codeword.section, ta.codeword.rank, ta.slot) == (
+                section[i], rank[i], slot[i]
+            )
+
+    @pytest.mark.parametrize("n", [5, 6, 9])
+    def test_encode_inverts_decode(self, n):
+        code = generator_matrix(n)
+        rng = np.random.default_rng(n)
+        section = rng.integers(0, code.q, size=2000, dtype=np.int64)
+        rank = rng.integers(0, code.codewords_per_section, size=2000, dtype=np.int64)
+        slot = rng.integers(0, code.q, size=2000, dtype=np.int64)
+        anchor = code.encode(section, rank, slot)
+        for i in range(0, 2000, 97):
+            cw = code.codeword_from_rank(int(section[i]), int(rank[i]))
+            assert tuple(anchor[i]) == tuple(
+                (c + d) % code.q for c, d in zip(cw.point, code.offsets[slot[i]])
+            )
+        back = code.decode(anchor)
+        for got, want in zip(back, (section, rank, slot)):
+            assert np.array_equal(got, want)
+        assert not back[3].any()
+
+    def test_decode_reports_points_off_the_lattice(self):
+        gens = build_generators(5)
+        middle = list(gens.middle)
+        middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
+        bad_code = PerfectLeeCode(replace(gens, middle=tuple(middle)))
+        rng = np.random.default_rng(7)
+        z = rng.integers(0, 11, size=(500, 5), dtype=np.int64)
+        bad = bad_code.decode(z)[3]
+        assert bad.any() and not bad.all()
+        for i in range(500):
+            zt = tuple(int(x) for x in z[i])
+            if bad[i]:
+                with pytest.raises(ValueError, match="not a codeword"):
+                    bad_code.tile_assign(zt)
+            else:
+                bad_code.tile_assign(zt)
 
 
 class TestDistanceCertificates:
