@@ -98,27 +98,25 @@ def _check_chain_membership(code, map_, mode, samples, seed):
 
 
 def _check_codeword_bijection(code, map_, mode, samples, seed):
-    q = code.q
+    q, per_section = code.q, code.codewords_per_section
     if mode == "exhaustive":
-        seen = set()
-        for cw in code.iter_codewords():
-            if code.syndrome(cw.point) != 0:
-                return False, f"enumerated point {cw.point} is not a codeword"
-            if cw.point in seen:
-                return False, f"duplicate codeword point {cw.point}"
-            seen.add(cw.point)
-            if code.rank_of(cw.point) != (cw.section, cw.rank):
-                return False, f"rank_of mismatch at {cw.point}"
-        return True, f"{len(seen)} distinct codewords, ranks round-trip"
-    rng = np.random.default_rng(seed)
-    n_pairs = min(samples, 20000)
-    for _ in range(n_pairs):
-        j = int(rng.integers(0, q))
-        r = int(rng.integers(0, code.codewords_per_section))
-        cw = code.codeword_from_rank(j, r)
-        if code.syndrome(cw.point) != 0 or code.rank_of(cw.point) != (j, r):
-            return False, f"rank round-trip failed at (j={j}, r={r})"
-    return True, f"{n_pairs} sampled (section, rank) pairs round-trip"
+        pairs = ((j, r) for j in range(q) for r in range(per_section))
+    else:
+        rng = np.random.default_rng(seed)
+        pairs = (
+            (int(rng.integers(0, q)), int(rng.integers(0, per_section)))
+            for _ in range(min(samples, 20000))
+        )
+    # rank_of inverts codeword_from_rank on every pair, so no two pairs share a point
+    count = 0
+    for j, r in pairs:
+        point = code.codeword_from_rank(j, r).point
+        if code.syndrome(point) != 0 or code.rank_of(point) != (j, r):
+            return False, f"rank round-trip failed at (j={j}, r={r}), point {point}"
+        count += 1
+    if mode == "exhaustive":
+        return True, f"{count} distinct codewords, ranks round-trip"
+    return True, f"{count} sampled (section, rank) pairs round-trip"
 
 
 def _check_min_distance(code, map_, mode, samples, seed):
@@ -146,28 +144,30 @@ def _check_packing(code, map_, mode, samples, seed):
     return False, f"{report.violation_count} violations, first: {report.violations[:3]}"
 
 
+def _logical_indices(map_, mode, k, seed):
+    """The logical indices a map check visits, as int64 arrays.
+
+    ``exhaustive``: all of [0, n_faces) in SWEEP_CHUNK pieces;
+    ``sampled``: one array of k seeded-random indices.
+    """
+    if mode == "exhaustive":
+        for start in range(0, map_.n_faces, SWEEP_CHUNK):
+            yield np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
+    else:
+        yield np.random.default_rng(seed).integers(0, map_.n_faces, size=k, dtype=np.int64)
+
+
 def _check_roundtrip(code, map_, mode, samples, seed):
     total = map_.n_faces
-    if mode == "exhaustive":
-        seen = np.zeros(total, dtype=bool)
-        for start in range(0, total, SWEEP_CHUNK):
-            chunk = np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.int64)
-            fwd = map_.forward_indices(chunk)
-            if fwd.min() < 0 or fwd.max() >= total:
-                return False, "forward index out of range"
-            if not np.array_equal(map_.inverse_indices(fwd), chunk):
-                return False, f"round-trip mismatch in chunk at {start}"
-            seen[fwd] = True
-        if not seen.all():
-            return False, f"{np.count_nonzero(~seen)} face indices never hit"
-        detail = f"all {total} slots round-trip; image is a permutation"
-    else:
-        rng = np.random.default_rng(seed)
-        idx = rng.integers(0, total, size=samples, dtype=np.int64)
+    # inverse(forward(i)) == i on every index of [0, total) makes the
+    # in-range forward map injective, hence a permutation
+    for idx in _logical_indices(map_, mode, samples, seed):
         fwd = map_.forward_indices(idx)
-        if not np.array_equal(map_.inverse_indices(fwd), idx):
-            return False, "sampled round-trip mismatch"
-        detail = f"{samples} sampled slots round-trip"
+        if fwd.min() < 0 or fwd.max() >= total:
+            return False, "forward index out of range"
+        miss = np.flatnonzero(map_.inverse_indices(fwd) != idx)
+        if len(miss):
+            return False, f"round-trip mismatch at logical index {idx[miss[0]]}"
     # scalar spot-check against the vectorized path
     rng = np.random.default_rng(seed + 1)
     for idx in rng.integers(0, total, size=200):
@@ -177,31 +177,25 @@ def _check_roundtrip(code, map_, mode, samples, seed):
             return False, f"scalar/bulk forward disagree at {idx}"
         if map_.inverse_index(fwd) != idx:
             return False, f"scalar inverse broken at {idx}"
-    return True, detail
+    if mode == "exhaustive":
+        return True, f"all {total} slots round-trip; image is a permutation"
+    return True, f"{samples} sampled slots round-trip"
 
 
 def _check_section_confinement(code, map_, mode, samples, seed):
-    n, q, alpha = code.n, code.q, code.alpha
-    if mode == "exhaustive":
-        for start in range(0, map_.n_faces, SWEEP_CHUNK):
-            chunk = np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
-            j_logical = chunk // (q * alpha * code.codewords_per_section)
-            o_logical = (chunk // q) % alpha
-            lin, o_phys = np.divmod(map_.forward_indices(chunk), alpha)
-            j_phys = code.decode(hypercubes_from_lin(lin, q, n))[0]
-            if not np.array_equal(j_phys, j_logical):
-                return False, f"section leak in chunk at {start}"
-            if not np.array_equal(o_phys, o_logical):
-                return False, f"orientation changed in chunk at {start}"
-        return True, f"all {map_.n_faces} addresses stay in their section, orientation intact"
-    rng = np.random.default_rng(seed)
-    n_pts = min(samples, 20000)
-    for _ in range(n_pts):
-        addr = map_.logical_from_lin(int(rng.integers(0, map_.n_faces)))
-        face = map_.logical_to_physical(addr)
-        host = code.tile_assign(face.anchor).codeword
-        if host.section != addr.section:
-            return False, f"physical codeword of {addr} lies in section {host.section}"
-        if face.orientation != addr.orientation:
+    q, alpha = code.q, code.alpha
+    k = map_.n_faces if mode == "exhaustive" else min(samples, 20000)
+    for idx in _logical_indices(map_, mode, k, seed):
+        lin, o_phys = np.divmod(map_.forward_indices(idx), alpha)
+        j_phys, _, _, bad = code.decode(hypercubes_from_lin(lin, q, code.n))
+        leak = bad | (j_phys != idx // (q * alpha * code.codewords_per_section))
+        turned = o_phys != (idx // q) % alpha
+        fail = np.flatnonzero(leak | turned)
+        if len(fail):
+            addr = map_.logical_from_lin(int(idx[fail[0]]))
+            if leak[fail[0]]:
+                return False, f"physical codeword of {addr} leaves section {addr.section}"
             return False, f"orientation changed at {addr}"
-    return True, f"{n_pts} sampled addresses stay in their section, orientation intact"
+    if mode == "exhaustive":
+        return True, f"all {k} addresses stay in their section, orientation intact"
+    return True, f"{k} sampled addresses stay in their section, orientation intact"

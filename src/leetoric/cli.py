@@ -19,7 +19,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import run_verification
+from .checks import SWEEP_CHUNK, run_verification
 from .interleave import (
     BURST_MODELS,
     InterleavingMap,
@@ -393,14 +393,13 @@ def cmd_simulate(args, parser) -> int:
 
 def cmd_export_map(args, parser) -> int:
     map_ = _bulk_map(generator_matrix(args.n), parser)
-    chunk_size = 1 << 20
     binary = args.format == "binary"
     try:
         with open(args.out, "wb" if binary else "w", newline=None if binary else "") as fh:
             if not binary:
                 fh.write("logical,physical\n")
-            for start in range(0, map_.n_faces, chunk_size):
-                logical = np.arange(start, min(start + chunk_size, map_.n_faces), dtype=np.int64)
+            for start in range(0, map_.n_faces, SWEEP_CHUNK):
+                logical = np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
                 physical = map_.forward_indices(logical)
                 if binary:
                     np.column_stack([logical, physical]).astype("<u8").tofile(fh)

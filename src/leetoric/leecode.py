@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .lattice import (
     canonical_rep,
     determinant,
     hypercube_lin_indices,
+    hypercubes_from_lin,
     slot_offset,
 )
 
@@ -348,13 +349,13 @@ class PerfectLeeCode:
     ) -> "PackingReport":
         """Certify that the codeword spheres tile Z_q^n exactly once.
 
-        ``exhaustive`` encodes every (codeword, slot) pair in
-        iter_codewords then slot order, reports repeats in that order,
-        counts the gaps, and re-checks the scalar tile_assign on every
-        hypercube.  ``sampled`` decodes ``samples`` seeded-random
-        hypercubes in bulk, checks that each decoded slot carries the
-        hypercube's syndrome, and re-checks the scalar tile_assign on
-        the first 1000.
+        ``exhaustive`` first encodes every (codeword, slot) pair in
+        iter_codewords then slot order, reports repeats in that order and
+        counts the gaps.  Both modes then decode hypercubes in bulk and
+        report each row that decode flags ``bad``, in row order:
+        ``exhaustive`` all q^n of them in linear-index order, ``sampled``
+        ``samples`` seeded-random ones.  The scalar tile_assign is
+        cross-checked against the bulk decode on the first 1000 rows.
         """
         if mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown verification mode: {mode!r}")
@@ -373,30 +374,26 @@ class PerfectLeeCode:
             report.spheres_placed = self.n_codewords
             first = np.zeros(len(lin), dtype=bool)
             first[np.unique(lin, return_index=True)[1]] = True
-            for idx in lin[~first].tolist():
-                report.add_violation(f"hypercube index {idx} covered more than once")
+            repeats = lin[~first]
+            report.add_violations(
+                len(repeats), (f"hypercube index {i} covered more than once" for i in repeats)
+            )
             gaps = q**n - np.count_nonzero(first)
             if gaps:
                 report.add_violation(f"{gaps} hypercubes not covered by any sphere")
-            for z in itertools.product(range(q), repeat=n):
-                report.hypercubes_checked += 1
-                if not self._tile_assign_consistent(z):
-                    report.add_violation(f"tile_assign broken at {z}")
-            return report
+            z = hypercubes_from_lin(np.arange(q**n, dtype=np.int64), q, n)
+        else:
+            z = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
 
-        rng = np.random.default_rng(seed)
-        z = rng.integers(0, q, size=(samples, n), dtype=np.int64)
-        slot = self.decode(z)[2]
-        slot_syndrome = (self._offsets @ self._h) % q
-        report.hypercubes_checked = samples
-        for i in np.nonzero((z @ self._h) % q != slot_syndrome[slot])[0]:
-            report.add_violation(
-                f"tile_assign broken at {tuple(int(x) for x in z[i])}"
-            )
-        for row in z[: min(1000, samples)]:
-            zt = tuple(int(x) for x in row)
-            if not self._tile_assign_consistent(zt):
-                report.add_violation(f"tile_assign broken at {zt}")
+        report.hypercubes_checked = len(z)
+        bad = self.decode(z)[3]
+        broken = z[bad]
+        report.add_violations(
+            len(broken), (f"tile_assign broken at {tuple(row.tolist())}" for row in broken)
+        )
+        for row, flagged in zip(z[:1000].tolist(), bad[:1000].tolist()):
+            if self._tile_assign_consistent(tuple(row)) == flagged:
+                report.add_violation(f"scalar tile_assign disagrees with decode at {tuple(row)}")
         return report
 
     def _tile_assign_consistent(self, z: tuple[int, ...]) -> bool:
@@ -428,9 +425,12 @@ class PackingReport:
     _MAX_STORED = 10
 
     def add_violation(self, message: str) -> None:
-        self.violation_count += 1
-        if len(self.violations) < self._MAX_STORED:
-            self.violations.append(message)
+        self.add_violations(1, [message])
+
+    def add_violations(self, count: int, messages: Iterable[str]) -> None:
+        """Count ``count`` violations; only the stored first few are formatted."""
+        self.violation_count += count
+        self.violations += itertools.islice(messages, self._MAX_STORED - len(self.violations))
 
     @property
     def ok(self) -> bool:

@@ -76,19 +76,62 @@ class TestVerify:
         assert "PASS determinant" in out
         assert "s)" in out  # per-check timing in text mode
 
-    def test_corrupt_generator_fails_with_witness(self, capsys):
-        code, out, _ = run(
-            capsys, "verify", "--n", "5", "--mode", "exhaustive",
-            "--corrupt-generator",
-        )
+    @pytest.mark.parametrize(
+        "argv, witnesses",
+        [
+            pytest.param(
+                ["--n", "5", "--mode", "exhaustive"],
+                [
+                    "FAIL packing: 175693 violations, first: ['hypercube index 140 covered"
+                    " more than once', 'hypercube index 1350 covered more than once',"
+                    " 'hypercube index 148 covered more than once']",
+                    "FAIL section_confinement: physical codeword of LogicalAddress(section=0,"
+                    " rank=1, orientation=0, position=0) leaves section 0",
+                ],
+                id="n5-exhaustive",
+            ),
+            pytest.param(
+                ["--n", "6", "--mode", "sampled", "--samples", "20000", "--seed", "3"],
+                [
+                    "FAIL packing: 18367 violations, first: ['tile_assign broken at"
+                    " (10, 1, 2, 3, 2, 10)', 'tile_assign broken at (11, 7, 0, 1, 4, 5)',"
+                    " 'tile_assign broken at (8, 6, 3, 2, 8, 9)']",
+                    "FAIL section_confinement: physical codeword of LogicalAddress(section=10,"
+                    " rank=15695, orientation=14, position=4) leaves section 10",
+                ],
+                id="n6-sampled",
+            ),
+        ],
+    )
+    def test_corrupt_generator_fails_with_witness(self, capsys, argv, witnesses):
+        code, out, _ = run(capsys, "verify", *argv, "--corrupt-generator")
         assert code == 1
-        assert "FAIL" in out
-        assert "covered more than once" in out
-        assert (
-            "FAIL packing: 175693 violations, first: ['hypercube index 140 covered"
-            " more than once', 'hypercube index 1350 covered more than once',"
-            " 'hypercube index 148 covered more than once']"
-        ) in out
+        for witness in witnesses:
+            assert witness in out
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--n", "5", "--mode", "exhaustive"],
+            ["--n", "6", "--mode", "sampled", "--samples", "20000", "--seed", "3"],
+        ],
+        ids=["n5-exhaustive", "n6-sampled"],
+    )
+    def test_map_fault_fails_map_checks(self, capsys, monkeypatch, argv):
+        forward = InterleavingMap.forward_indices
+
+        def shifted(self, logical):
+            # one section further on: a bijection, but not the interleaver
+            return (forward(self, logical) + self.alpha * self.q ** (self.n - 1)) % self.n_faces
+
+        monkeypatch.setattr(InterleavingMap, "forward_indices", shifted)
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert not checks["roundtrip"]["ok"]
+        assert checks["roundtrip"]["detail"].startswith("round-trip mismatch at logical index")
+        assert not checks["section_confinement"]["ok"]
+        assert "leaves section" in checks["section_confinement"]["detail"]
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_degenerate_samples_rejected(self, capsys, samples):

@@ -1,3 +1,4 @@
+import itertools
 import random
 from dataclasses import replace
 
@@ -215,15 +216,14 @@ class TestTileAssign:
 
 class TestBulkKernel:
     def test_decode_matches_scalar_tile_assign(self, code5):
-        rng = np.random.default_rng(6)
-        z = rng.integers(0, 11, size=(3000, 5), dtype=np.int64)
+        # Every one of the 11^5 hypercubes: the full scalar reference sweep.
+        z = np.array(list(itertools.product(range(11), repeat=5)), dtype=np.int64)
         section, rank, slot, bad = code5.decode(z)
         assert not bad.any()
-        for i in range(0, 3000, 7):
-            ta = code5.tile_assign(tuple(int(x) for x in z[i]))
-            assert (ta.codeword.section, ta.codeword.rank, ta.slot) == (
-                section[i], rank[i], slot[i]
-            )
+        bulk = zip(section.tolist(), rank.tolist(), slot.tolist())
+        for row, want in zip(z.tolist(), bulk):
+            ta = code5.tile_assign(tuple(row))
+            assert (ta.codeword.section, ta.codeword.rank, ta.slot) == want
 
     @pytest.mark.parametrize("n", [5, 6, 9])
     def test_encode_inverts_decode(self, n):
@@ -318,6 +318,20 @@ class TestPerfectPacking:
     def test_unknown_mode(self, code5):
         with pytest.raises(ValueError):
             code5.verify_perfect_packing("everything")
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_scalar_fault_is_caught(self, code5, monkeypatch, mode):
+        def broken(self, z):
+            raise ValueError("injected scalar fault")
+
+        monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken)
+        report = code5.verify_perfect_packing(mode, samples=2000, seed=4)
+        # Only the 1000-row scalar cross-check sees the fault; decode is intact.
+        assert report.violation_count == 1000
+        assert all(
+            v.startswith("scalar tile_assign disagrees with decode at")
+            for v in report.violations
+        )
 
     def test_corrupted_generator_is_caught(self):
         gens = build_generators(5)
