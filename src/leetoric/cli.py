@@ -22,6 +22,7 @@ import numpy as np
 from .checks import SWEEP_CHUNK, run_verification
 from .interleave import (
     BURST_MODELS,
+    INT64_MAX,
     InterleavingMap,
     interleaved_params,
     simulate,
@@ -358,6 +359,11 @@ def cmd_simulate(args, parser) -> int:
     elif args.count is not None:
         parser.error("--count only applies to --model uniform-random")
     code = generator_matrix(args.n)
+    if args.model == "aligned" and code.codewords_per_section > INT64_MAX:
+        parser.error(
+            f"--model aligned draws ranks below q^(n-2) = {code.codewords_per_section},"
+            f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)"
+        )
     map_ = _bulk_map(code, parser) if args.model == "uniform-random" else InterleavingMap(code)
     if args.count is not None and args.count > map_.n_faces:
         parser.error(f"--count exceeds the {map_.n_faces} faces of the lattice")

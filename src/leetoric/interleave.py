@@ -13,7 +13,7 @@ left with at most the single error the component code can correct.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Iterable
 
@@ -166,16 +166,20 @@ class InterleavingMap:
         return hypercube_lin_indices(anchor, q) * alpha + o
 
     def inverse_indices(self, physical: np.ndarray) -> np.ndarray:
-        """Vectorized inverse_index over an int64 array of face indices."""
+        """Vectorized inverse_index over an int64 array of face indices.
+
+        Total: a face whose hypercube lies on no codeword sphere, which
+        only a corrupted code has, maps to -1.
+        """
         self.check_int64()
         q, alpha = self.q, self.alpha
         lin, o = np.divmod(np.asarray(physical, dtype=np.int64), alpha)
         j, rank, slot, bad = self.code.decode(hypercubes_from_lin(lin, q, self.n))
-        if bad.any():
-            raise AssertionError("inverse sweep hit a non-codeword point")
         t, p = np.divmod(rank, q)
         r = slot * self.block_size + t
-        return ((j * self.code.codewords_per_section + r) * alpha + o) * q + p
+        logical = ((j * self.code.codewords_per_section + r) * alpha + o) * q + p
+        logical[bad] = -1
+        return logical
 
     def _check_address(self, addr: LogicalAddress) -> None:
         if not 0 <= addr.section < self.q:
@@ -325,21 +329,8 @@ class SimulationStats:
     tally_histogram: dict[int, int]
 
     def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "model": self.model,
-            "trials": self.trials,
-            "master_seed": self.master_seed,
-            "errors_per_trial_max": self.errors_per_trial_max,
-            "uniform_count": self.uniform_count,
-            "successes": self.successes,
-            "failures": self.failures,
-            "success_rate": self.success_rate,
-            "max_tally": self.max_tally,
-            "mean_tally": self.mean_tally,
-            "tally_histogram": {str(k): v for k, v in sorted(self.tally_histogram.items())},
-        }
+        histogram = {str(k): v for k, v in sorted(self.tally_histogram.items())}
+        return {**asdict(self), "tally_histogram": histogram}
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:

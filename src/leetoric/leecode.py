@@ -116,12 +116,12 @@ class PerfectLeeCode:
     Immutable after construction; all methods are pure.
     """
 
-    def __init__(self, generators: GeneratorSet, h: IntVector | None = None):
+    def __init__(self, generators: GeneratorSet):
         self.n = generators.n
         self.q = generators.q
         self.generators = generators
         self.matrix = generators.rows()
-        self.h = check_functional(self.n) if h is None else h
+        self.h = check_functional(self.n)
         self.alpha = self.n * (self.n - 1) // 2
         n, q = self.n, self.q
         # The slot-offset table, built once: row b is slot_offset(b, n).

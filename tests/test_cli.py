@@ -85,6 +85,7 @@ class TestVerify:
                     "FAIL packing: 175693 violations, first: ['hypercube index 140 covered"
                     " more than once', 'hypercube index 1350 covered more than once',"
                     " 'hypercube index 148 covered more than once']",
+                    "FAIL roundtrip: round-trip mismatch at logical index 110",
                     "FAIL section_confinement: physical codeword of LogicalAddress(section=0,"
                     " rank=1, orientation=0, position=0) leaves section 0",
                 ],
@@ -96,10 +97,22 @@ class TestVerify:
                     "FAIL packing: 18367 violations, first: ['tile_assign broken at"
                     " (10, 1, 2, 3, 2, 10)', 'tile_assign broken at (11, 7, 0, 1, 4, 5)',"
                     " 'tile_assign broken at (8, 6, 3, 2, 8, 9)']",
+                    "FAIL roundtrip: round-trip mismatch at logical index 58754661",
                     "FAIL section_confinement: physical codeword of LogicalAddress(section=10,"
                     " rank=15695, orientation=14, position=4) leaves section 10",
                 ],
                 id="n6-sampled",
+            ),
+            pytest.param(
+                # confinement reads the first 20000 of the 50000 draws, the
+                # same indices as a 20000 draw, so its witness is unchanged
+                ["--n", "6", "--mode", "sampled", "--samples", "50000", "--seed", "3"],
+                [
+                    "FAIL roundtrip: round-trip mismatch at logical index 58754661",
+                    "FAIL section_confinement: physical codeword of LogicalAddress(section=10,"
+                    " rank=15695, orientation=14, position=4) leaves section 10",
+                ],
+                id="n6-sampled-50000",
             ),
         ],
     )
@@ -132,6 +145,35 @@ class TestVerify:
         assert checks["roundtrip"]["detail"].startswith("round-trip mismatch at logical index")
         assert not checks["section_confinement"]["ok"]
         assert "leaves section" in checks["section_confinement"]["detail"]
+
+    def test_orientation_fault_fails_confinement(self, capsys, monkeypatch):
+        forward = InterleavingMap.forward_indices
+
+        def turned(self, logical):
+            # same hypercube, next orientation: a bijection that stays in section
+            fwd = forward(self, logical)
+            return fwd - fwd % self.alpha + (fwd + 1) % self.alpha
+
+        monkeypatch.setattr(InterleavingMap, "forward_indices", turned)
+        code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["roundtrip"]["detail"] == "round-trip mismatch at logical index 0"
+        assert checks["section_confinement"]["detail"] == (
+            "orientation changed at LogicalAddress(section=0, rank=0, orientation=0, position=0)"
+        )
+
+    def test_scalar_map_fault_fails_roundtrip_only(self, capsys, monkeypatch):
+        forward = InterleavingMap.forward_index
+        monkeypatch.setattr(InterleavingMap, "forward_index", lambda self, i: forward(self, i) + 1)
+        code, out, _ = run(
+            capsys, "verify", "--n", "5", "--mode", "sampled", "--samples", "2000",
+            "--format", "json",
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["roundtrip"]["detail"].startswith("scalar/bulk forward disagree at ")
+        assert checks["section_confinement"]["ok"]
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_degenerate_samples_rejected(self, capsys, samples):
@@ -194,6 +236,17 @@ class TestInt64Limit:
         assert exc.value.code == 2
         assert "int64 limit 2^63 - 1" in capsys.readouterr().err
         assert not out_path.exists()
+
+    def test_aligned_rejected_above_n14(self, capsys, monkeypatch):
+        def unreachable(*args, **kwargs):
+            raise AssertionError("simulate ran a trial at n = 15")
+
+        # q^(n-2) = 31^13 > 2^63 - 1: numpy cannot draw the aligned ranks
+        monkeypatch.setattr("leetoric.cli.simulate", unreachable)
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "15", "--model", "aligned", "--trials", "2"])
+        assert exc.value.code == 2
+        assert "int64 limit 2^63 - 1" in capsys.readouterr().err
 
     def test_scalar_simulate_still_runs(self, capsys):
         code, out, _ = run(

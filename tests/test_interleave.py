@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -14,8 +15,8 @@ from leetoric.interleave import (
     simulate,
     trial_rng,
 )
-from leetoric.lattice import lee_distance
-from leetoric.leecode import generator_matrix
+from leetoric.lattice import hypercubes_from_lin, lee_distance
+from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
 from leetoric.toric import FaceIndex
 
 
@@ -149,6 +150,18 @@ class TestBulkMap:
             with pytest.raises(ValueError, match="int64"):
                 bulk(np.array([0], dtype=np.int64))
         assert map13.inverse_index(map13.forward_index(map13.n_faces - 1)) == map13.n_faces - 1
+
+    def test_inverse_is_minus_one_exactly_off_the_lattice(self):
+        gens = build_generators(5)
+        middle = list(gens.middle)
+        middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
+        bad_map = InterleavingMap(PerfectLeeCode(replace(gens, middle=tuple(middle))))
+        faces = np.random.default_rng(5).integers(0, bad_map.n_faces, size=20000)
+        bad = bad_map.code.decode(hypercubes_from_lin(faces // bad_map.alpha, 11, 5))[3]
+        assert bad.any() and not bad.all()
+        back = bad_map.inverse_indices(faces)
+        assert np.array_equal(back == -1, bad)
+        assert (back[~bad] >= 0).all()
 
     def test_sampled_roundtrip_n6(self, map6):
         rng = np.random.default_rng(33)
