@@ -20,13 +20,7 @@ from fractions import Fraction
 import numpy as np
 
 from .checks import SWEEP_CHUNK, run_verification
-from .interleave import (
-    BURST_MODELS,
-    INT64_MAX,
-    InterleavingMap,
-    interleaved_params,
-    simulate,
-)
+from .interleave import BURST_MODELS, InterleavingMap, interleaved_params, simulate
 from .leecode import PerfectLeeCode, build_generators, generator_matrix
 from .toric import code_params
 
@@ -123,9 +117,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    n = getattr(args, "n", None)
-    if n is not None and n < 5:
-        parser.error(f"unsupported dimension: n must be >= 5, got {n}")
     precision = getattr(args, "precision", None)
     if precision is not None and not 0 <= precision <= 50:
         parser.error(f"precision must be in [0, 50], got {precision}")
@@ -133,20 +124,13 @@ def main(argv: list[str] | None = None) -> int:
         return COMMANDS[args.command](args, parser)
     except BrokenPipeError:
         return EXIT_CHECK_FAILED
+    except ValueError as exc:
+        # the library checks its inputs before any output; a broken rule is a usage error
+        parser.error(str(exc))
 
 
 def entry() -> None:
     sys.exit(main())
-
-
-def _bulk_map(code: PerfectLeeCode, parser) -> InterleavingMap:
-    """The interleaving map of code, or a usage error if it overflows int64."""
-    map_ = InterleavingMap(code)
-    try:
-        map_.check_int64()
-    except ValueError as exc:
-        parser.error(str(exc))
-    return map_
 
 
 # -- params ---------------------------------------------------------------
@@ -199,8 +183,7 @@ def cmd_verify(args, parser) -> int:
         parser.error("exhaustive verification is only supported for n = 5; use --mode sampled")
     if args.samples < 1:
         parser.error(f"--samples must be >= 1, got {args.samples}")
-    code = generator_matrix(args.n)
-    _bulk_map(code, parser)
+    code = None
     if args.corrupt_generator:
         gens = build_generators(args.n)
         middle = list(gens.middle)
@@ -235,45 +218,35 @@ def cmd_verify(args, parser) -> int:
 # -- tables ---------------------------------------------------------------
 
 
+def _table_row(n, q, length, dimension, extra, rate, gain, ref, places):
+    return {
+        "n": n,
+        "q": q,
+        "length": length,
+        "dimension": dimension,
+        **extra,
+        "rate": _rounded(rate, places),
+        "gain": _rounded(gain, places),
+        "rate_printed": float(ref[0]) if ref else None,
+        "gain_printed": float(ref[1]) if ref else None,
+        "rate_deviation": float(abs(rate - ref[0])) if ref else None,
+        "gain_deviation": float(abs(gain - ref[1])) if ref else None,
+    }
+
+
 def _table_rows(dims: list[int], places: int):
     toric_rows = []
     inter_rows = []
     for n in dims:
-        code = generator_matrix(n)
-        tp = code_params(n, code)
+        tp = code_params(n, generator_matrix(n))
         ip = interleaved_params(n)
-        ref_t = REFERENCE_TORIC.get(n)
-        ref_i = REFERENCE_INTERLEAVED.get(n)
         toric_rows.append(
-            {
-                "n": n,
-                "q": tp.q,
-                "length": tp.N,
-                "dimension": tp.k,
-                "d": tp.d,
-                "t": tp.t,
-                "rate": _rounded(tp.R, places),
-                "gain": _rounded(tp.G, places),
-                "rate_printed": float(ref_t[0]) if ref_t else None,
-                "gain_printed": float(ref_t[1]) if ref_t else None,
-                "rate_deviation": float(abs(tp.R - ref_t[0])) if ref_t else None,
-                "gain_deviation": float(abs(tp.G - ref_t[1])) if ref_t else None,
-            }
+            _table_row(n, tp.q, tp.N, tp.k, {"d": tp.d, "t": tp.t}, tp.R, tp.G,
+                       REFERENCE_TORIC.get(n), places)
         )
         inter_rows.append(
-            {
-                "n": n,
-                "q": ip.q,
-                "length": ip.length,
-                "dimension": ip.dimension,
-                "ti": ip.t_i,
-                "rate": _rounded(ip.R_i, places),
-                "gain": _rounded(ip.G_i, places),
-                "rate_printed": float(ref_i[0]) if ref_i else None,
-                "gain_printed": float(ref_i[1]) if ref_i else None,
-                "rate_deviation": float(abs(ip.R_i - ref_i[0])) if ref_i else None,
-                "gain_deviation": float(abs(ip.G_i - ref_i[1])) if ref_i else None,
-            }
+            _table_row(n, ip.q, ip.length, ip.dimension, {"ti": ip.t_i}, ip.R_i, ip.G_i,
+                       REFERENCE_INTERLEAVED.get(n), places)
         )
     return toric_rows, inter_rows
 
@@ -285,9 +258,6 @@ def cmd_tables(args, parser) -> int:
         parser.error(f"--rows must be comma-separated integers, got {args.rows!r}")
     if not dims:
         parser.error("--rows is empty")
-    for n in dims:
-        if n < 5:
-            parser.error(f"unsupported dimension: n must be >= 5, got {n}")
     toric_rows, inter_rows = _table_rows(dims, args.precision)
     if args.format == "json":
         print(json.dumps({"toric": toric_rows, "interleaved": inter_rows}))
@@ -351,22 +321,7 @@ def _dev_note(row) -> str:
 
 
 def cmd_simulate(args, parser) -> int:
-    if args.trials < 1:
-        parser.error(f"trials must be >= 1, got {args.trials}")
-    if args.model == "uniform-random":
-        if args.count is None or args.count < 0:
-            parser.error("--model uniform-random requires --count >= 0")
-    elif args.count is not None:
-        parser.error("--count only applies to --model uniform-random")
-    code = generator_matrix(args.n)
-    if args.model == "aligned" and code.codewords_per_section > INT64_MAX:
-        parser.error(
-            f"--model aligned draws ranks below q^(n-2) = {code.codewords_per_section},"
-            f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)"
-        )
-    map_ = _bulk_map(code, parser) if args.model == "uniform-random" else InterleavingMap(code)
-    if args.count is not None and args.count > map_.n_faces:
-        parser.error(f"--count exceeds the {map_.n_faces} faces of the lattice")
+    map_ = InterleavingMap(generator_matrix(args.n))
     start = time.perf_counter()
     stats = simulate(map_, args.model, args.trials, args.seed, args.count)
     elapsed = time.perf_counter() - start
@@ -398,7 +353,8 @@ def cmd_simulate(args, parser) -> int:
 
 
 def cmd_export_map(args, parser) -> int:
-    map_ = _bulk_map(generator_matrix(args.n), parser)
+    map_ = InterleavingMap(generator_matrix(args.n))
+    map_.check_int64()  # before --out is opened
     binary = args.format == "binary"
     try:
         with open(args.out, "wb" if binary else "w", newline=None if binary else "") as fh:

@@ -229,20 +229,33 @@ def make_burst(
     multi-translate  q spheres, the j-th at a uniform center with first
                      coordinate j; one error per distinct hypercube.
     uniform-random   ``count`` distinct faces anywhere (control model).
+
+    The input rules are checked here, before anything is drawn: a known
+    model, a count in [0, n_faces] for uniform-random and for no other
+    model, and draws that fit in int64 (uniform-random needs n <= 12,
+    aligned n <= 14).  A broken rule raises ValueError.
     """
+    code = map_.code
     if model not in BURST_MODELS:
         raise ValueError(f"unknown burst model: {model!r}")
+    if model != "uniform-random" and count is not None:
+        raise ValueError(f"count only applies to the uniform-random model, not {model!r}")
+    if model == "uniform-random":
+        if count is None or count < 0:
+            raise ValueError(f"uniform-random model needs a count >= 0, got {count}")
+        map_.check_int64()
+    if model == "aligned" and code.codewords_per_section > INT64_MAX:
+        raise ValueError(
+            f"aligned model draws ranks below q^(n-2) = {code.codewords_per_section},"
+            f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)"
+        )
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    code = map_.code
     n, q = map_.n, map_.q
 
     faces: list[FaceIndex] = []
     centers: list[IntVector] = []
     if model == "uniform-random":
-        if count is None or count < 0:
-            raise ValueError("uniform-random model needs a nonnegative count")
-        map_.check_int64()
         for idx in _sample_distinct(rng, map_.n_faces, count):
             faces.append(face_from_lin(idx, n, q))
     elif model == "translate":
@@ -349,12 +362,11 @@ def simulate(
 
     Each trial draws its own RNG from (master_seed, trial index), so the
     aggregate is independent of execution order and safe to partition
-    across workers.
+    across workers.  Trial 0's make_burst checks the model and count
+    before any burst is drawn.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    if model not in BURST_MODELS:
-        raise ValueError(f"unknown burst model: {model!r}")
     successes = 0
     max_tally = 0
     max_errors = 0

@@ -8,6 +8,7 @@ import pytest
 
 from leetoric.cli import main
 from leetoric.interleave import InterleavingMap
+from leetoric.leecode import PerfectLeeCode
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -88,6 +89,7 @@ class TestVerify:
                     "FAIL roundtrip: round-trip mismatch at logical index 110",
                     "FAIL section_confinement: physical codeword of LogicalAddress(section=0,"
                     " rank=1, orientation=0, position=0) leaves section 0",
+                    "FAIL chain_membership: generator (0, 1, 1, 1, -3) not in ker h mod q",
                 ],
                 id="n5-exhaustive",
             ),
@@ -241,8 +243,9 @@ class TestInt64Limit:
         def unreachable(*args, **kwargs):
             raise AssertionError("simulate ran a trial at n = 15")
 
-        # q^(n-2) = 31^13 > 2^63 - 1: numpy cannot draw the aligned ranks
-        monkeypatch.setattr("leetoric.cli.simulate", unreachable)
+        # q^(n-2) = 31^13 > 2^63 - 1: numpy cannot draw the aligned ranks.
+        # A trial's first step after the guard is an aligned center.
+        monkeypatch.setattr(PerfectLeeCode, "codeword_from_rank", unreachable)
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "15", "--model", "aligned", "--trials", "2"])
         assert exc.value.code == 2
@@ -341,6 +344,22 @@ class TestSimulate:
         with pytest.raises(SystemExit) as exc:
             main(["simulate", "--n", "5", "--model", "translate", "--count", "3"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--model", "translate", "--trials", "0"], "trials must be >= 1, got 0"),
+            (["--model", "uniform-random", "--count", "-1"], "count >= 0, got -1"),
+            (["--model", "uniform-random", "--count", "1610511"],
+             "cannot draw 1610511 distinct faces out of 1610510"),
+        ],
+        ids=["trials-0", "count-negative", "count-above-faces"],
+    )
+    def test_degenerate_inputs_rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--n", "5", *argv])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_default_seed_is_zero(self, capsys):
         _, with_default, _ = run(

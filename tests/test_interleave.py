@@ -212,6 +212,25 @@ class TestMakeBurst:
         with pytest.raises(ValueError):
             make_burst(map5, "uniform-random", 8)
 
+    @pytest.mark.parametrize(
+        "model, count, match",
+        [
+            ("uniform-random", -1, "count >= 0"),
+            ("uniform-random", 1_610_511, "cannot draw 1610511 distinct faces"),
+            ("translate", 3, "count only applies to the uniform-random model"),
+            ("aligned", 0, "count only applies to the uniform-random model"),
+        ],
+    )
+    def test_count_rules(self, map5, model, count, match):
+        with pytest.raises(ValueError, match=match):
+            make_burst(map5, model, 8, count=count)
+
+    def test_aligned_rejected_above_n14(self):
+        # q^(n-2) = 31^13 > 2^63 - 1: numpy cannot draw the aligned ranks
+        map15 = InterleavingMap(generator_matrix(15))
+        with pytest.raises(ValueError, match=r"int64 limit 2\^63 - 1"):
+            make_burst(map15, "aligned", 0)
+
     def test_deterministic_per_seed(self, map5):
         a = make_burst(map5, "aligned", 99)
         b = make_burst(map5, "aligned", 99)
@@ -290,3 +309,11 @@ class TestSimulate:
     def test_rejects_bad_trials(self, map5):
         with pytest.raises(ValueError):
             simulate(map5, "translate", 0)
+
+    def test_rejects_count_for_other_models(self, map5):
+        with pytest.raises(ValueError, match="count only applies"):
+            simulate(map5, "translate", 2, count=3)
+
+    def test_rejects_unknown_model(self, map5):
+        with pytest.raises(ValueError, match="unknown burst model"):
+            simulate(map5, "diagonal", 2)
