@@ -2,46 +2,20 @@
 with a burst-spreading qubit interleaver and Monte Carlo certification.
 """
 
-from .lattice import (
-    LeeSphere,
-    canonical_rep,
-    centered,
-    determinant,
-    hypercube_from_lin,
-    hypercube_lin_index,
-    lee_distance,
-    lee_sphere,
-    mannheim_weight,
-    slot_offset,
-)
+from .lattice import determinant
 from .leecode import (
     Codeword,
     GeneratorSet,
     MinDistanceResult,
     PackingReport,
     PerfectLeeCode,
-    TileAssignment,
     build_generators,
-    check_functional,
     generator_matrix,
-    weight_w_vectors,
 )
-from .toric import (
-    FaceIndex,
-    StabilizerCheck2D,
-    ToricParams,
-    code_params,
-    face_count,
-    face_from_lin,
-    face_lin_index,
-    kitaev_2d_stabilizers,
-    pair_from_rank,
-    pair_rank,
-)
+from .toric import FaceIndex, StabilizerCheck2D, ToricParams, code_params, kitaev_2d_stabilizers
 from .interleave import (
     BURST_MODELS,
     BurstPattern,
-    CorrectionReport,
     InterleavedParams,
     InterleavingMap,
     LogicalAddress,
@@ -61,44 +35,26 @@ __all__ = [
     "BurstPattern",
     "CheckResult",
     "Codeword",
-    "CorrectionReport",
     "FaceIndex",
     "GeneratorSet",
     "InterleavedParams",
     "InterleavingMap",
-    "LeeSphere",
     "LogicalAddress",
     "MinDistanceResult",
     "PackingReport",
     "PerfectLeeCode",
     "SimulationStats",
     "StabilizerCheck2D",
-    "TileAssignment",
     "ToricParams",
     "build_generators",
-    "canonical_rep",
-    "centered",
-    "check_functional",
     "code_params",
     "deinterleave_and_correct",
     "determinant",
-    "face_count",
-    "face_from_lin",
-    "face_lin_index",
     "generator_matrix",
-    "hypercube_from_lin",
-    "hypercube_lin_index",
     "interleaved_params",
     "kitaev_2d_stabilizers",
-    "lee_distance",
-    "lee_sphere",
     "make_burst",
-    "mannheim_weight",
-    "pair_from_rank",
-    "pair_rank",
     "run_verification",
     "simulate",
-    "slot_offset",
     "trial_rng",
-    "weight_w_vectors",
 ]

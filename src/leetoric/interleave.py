@@ -115,11 +115,11 @@ class InterleavingMap:
 
     def physical_to_logical(self, face: FaceIndex) -> LogicalAddress:
         """Exact inverse of logical_to_physical."""
-        ta = self.code.tile_assign(face.anchor)
-        t, p = divmod(ta.codeword.rank, self.q)
+        host, slot = self.code.tile_assign(face.anchor)
+        t, p = divmod(host.rank, self.q)
         return LogicalAddress(
-            section=ta.codeword.section,
-            rank=ta.slot * self.block_size + t,
+            section=host.section,
+            rank=slot * self.block_size + t,
             orientation=face.orientation,
             position=p,
         )

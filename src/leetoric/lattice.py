@@ -8,7 +8,6 @@ int64 arrays with one vector per row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -27,11 +26,6 @@ def canonical_rep(x: int, q: int) -> int:
     if not 0 <= x < q:
         raise ValueError(f"residue {x} out of range [0, {q})")
     return x if x <= (q - 1) // 2 else x - q
-
-
-def centered(v: Sequence[int], q: int) -> IntVector:
-    """Entrywise centered representatives of a residue vector."""
-    return tuple(canonical_rep(x, q) for x in v)
 
 
 def mannheim_weight(v: Sequence[int], q: int) -> int:
@@ -79,9 +73,8 @@ def slot_offset(b: int, n: int) -> IntVector:
     """Offset vector of Lee-sphere slot b.
 
     Slot 0 is the center; slot 2i-1 is +e_i and slot 2i is -e_i, for
-    i = 1..n.  This fixed order is shared by lee_sphere, the
-    PerfectLeeCode slot-offset table and the interleaver's super-block
-    layout.
+    i = 1..n.  This fixed order is shared by the PerfectLeeCode
+    slot-offset table and the interleaver's super-block layout.
     """
     if not 0 <= b <= 2 * n:
         raise ValueError(f"slot {b} out of range [0, {2 * n}]")
@@ -92,37 +85,15 @@ def slot_offset(b: int, n: int) -> IntVector:
     return tuple(off)
 
 
-@dataclass(frozen=True)
-class LeeSphere:
-    """A center point of Z_q^n together with its 2n unit neighbours."""
-
-    center: IntVector
-    q: int
-    members: tuple[IntVector, ...]
-
-
-def lee_sphere(center: Sequence[int], q: int) -> LeeSphere:
-    """Radius-1 Lee sphere around center, members listed in slot order."""
-    n = len(center)
-    center = tuple(center)
-    _check_residues(center, q)
-    members = tuple(
-        tuple((c + d) % q for c, d in zip(center, slot_offset(b, n)))
-        for b in range(2 * n + 1)
-    )
-    return LeeSphere(center, q, members)
-
-
 def hypercube_lin_index(z: Sequence[int], q: int) -> int:
     """Linear index of a hypercube coordinate, big-endian in coordinate 1.
 
     lin(z) = z_1 q^{n-1} + z_2 q^{n-2} + ... + z_n, so a contiguous index
     range corresponds to a fixed first coordinate (a cross-section).
     """
+    _check_residues(z, q)
     idx = 0
     for x in z:
-        if not 0 <= x < q:
-            raise ValueError(f"coordinate {x} out of range [0, {q})")
         idx = idx * q + x
     return idx
 

@@ -13,6 +13,7 @@ reference; ``encode``/``decode`` are their bulk int64 kernel.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -26,6 +27,7 @@ from .lattice import (
     determinant,
     hypercube_lin_indices,
     hypercubes_from_lin,
+    mannheim_weight,
     slot_offset,
 )
 
@@ -90,14 +92,6 @@ class Codeword:
 
 
 @dataclass(frozen=True)
-class TileAssignment:
-    """The unique (codeword, sphere slot) pair covering a hypercube."""
-
-    codeword: Codeword
-    slot: int
-
-
-@dataclass(frozen=True)
 class MinDistanceResult:
     """Outcome of the bounded-radius minimum-distance search.
 
@@ -128,10 +122,10 @@ class PerfectLeeCode:
         # Scalar callers read the tuples, the bulk kernel the array.
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
         self._offsets = np.array(self.offsets, dtype=np.int64)
-        # Slot picked by each syndrome, the rule of decode_single: s <= n
-        # is the error +e_s (slot 2s-1), s > n is -e_{q-s} (slot 2(q-s)).
-        slots = [0] + [2 * s - 1 if s <= n else 2 * (q - s) for s in range(1, q)]
-        self._slot_of = np.array(slots, dtype=np.int64)
+        # Slot of each syndrome s: +e_s (slot 2s-1) for s <= n, else -e_{q-s}
+        # (slot 2(q-s)).  tile_assign reads the tuple, decode the array.
+        self.slot_of = (0,) + tuple(2 * s - 1 if s <= n else 2 * (q - s) for s in range(1, q))
+        self._slot_of = np.array(self.slot_of, dtype=np.int64)
         self._rows = np.array(self.matrix, dtype=np.int64)
         self._h = np.array(self.h, dtype=np.int64)
 
@@ -148,20 +142,36 @@ class PerfectLeeCode:
 
     # -- lattice-side operations (integer vectors) --------------------
 
-    def lattice_membership(self, x: Sequence[int]) -> bool:
-        """True iff the integer vector x lies in the code lattice.
+    @functools.cached_property
+    def _det_adj(self) -> tuple[int, tuple[IntVector, ...]]:
+        """(det A, cofactor rows of A = columns of adj A); ValueError if singular."""
+        rows = self.matrix
+        det = determinant(rows)
+        if det == 0:
+            raise ValueError("generator matrix is singular")
+        cofactors = []
+        for i in range(self.n):
+            others = rows[:i] + rows[i + 1 :]
+            cofactors.append(tuple(
+                (-1) ** (i + j) * determinant([r[:j] + r[j + 1 :] for r in others])
+                for j in range(self.n)
+            ))
+        return det, tuple(cofactors)
 
-        Membership equals orthogonality to h mod q: the lattice has
-        index q in Z^n and is contained in the kernel of h, which also
-        has index q, so the two coincide.
+    def lattice_membership(self, x: Sequence[int]) -> bool:
+        """True iff the integer vector x lies in the lattice of the rows A.
+
+        x = cA is solved by c = x adj(A) / det A, integral iff x.adj(A) = 0
+        mod det A.  For a valid code this is the kernel of h mod q.
         """
         if len(x) != self.n:
             raise ValueError(f"expected length {self.n}, got {len(x)}")
-        return sum(a * b for a, b in zip(self.h, x)) % self.q == 0
+        det, cofactors = self._det_adj
+        return all(sum(a * b for a, b in zip(x, c)) % det == 0 for c in cofactors)
 
     def non_orthogonal_rows(self) -> list[IntVector]:
         """Generator rows with h.row != 0 mod q; empty for a valid code."""
-        return [row for row in self.matrix if not self.lattice_membership(row)]
+        return [row for row in self.matrix if sum(a * b for a, b in zip(self.h, row)) % self.q]
 
     def syndrome_residues(self) -> list[int]:
         """Sorted {0} u {+-h_i mod q}; the decoder is total iff this is Z_q."""
@@ -175,32 +185,21 @@ class PerfectLeeCode:
         _check_residues(x, self.q)
         return sum(a * b for a, b in zip(self.h, x)) % self.q
 
-    def decode_single(self, x: Sequence[int]) -> tuple[Codeword, IntVector]:
-        """Split x into (codeword, error) with error of Mannheim weight <= 1.
+    def tile_assign(self, z: Sequence[int]) -> tuple[Codeword, int]:
+        """The unique (codeword, slot) with codeword + slot offset = z.
 
-        Total map: the syndrome s picks the unique unit error, +e_s for
-        1 <= s <= n and -e_{q-s} for n < s < q.
+        The syndrome picks the slot; rank_of peels z minus its offset and
+        raises if that point is off the generator lattice.
         """
-        s = self.syndrome(x)
-        err = [0] * self.n
-        if s != 0:
-            if s <= self.n:
-                err[s - 1] = 1
-            else:
-                err[self.q - s - 1] = -1
-        point = tuple((a - e) % self.q for a, e in zip(x, err))
+        slot = self.slot_of[self.syndrome(z)]
+        point = tuple((a - d) % self.q for a, d in zip(z, self.offsets[slot]))
         j, r = self.rank_of(point)
-        return Codeword(point, j, r), tuple(err)
+        return Codeword(point, j, r), slot
 
-    def tile_assign(self, z: Sequence[int]) -> TileAssignment:
-        """The unique (codeword, slot) with codeword + slot offset = z."""
-        cw, err = self.decode_single(z)
-        slot = 0
-        for i, e in enumerate(err):
-            if e:
-                slot = 2 * (i + 1) - (1 if e == 1 else 0)
-                break
-        return TileAssignment(cw, slot)
+    def decode_single(self, x: Sequence[int]) -> tuple[Codeword, IntVector]:
+        """Split x into (codeword, error): the error is the offset of x's slot."""
+        cw, slot = self.tile_assign(x)
+        return cw, self.offsets[slot]
 
     # -- enumeration ---------------------------------------------------
 
@@ -258,12 +257,6 @@ class PerfectLeeCode:
         r = r * q + m_v
         return j, r
 
-    def iter_codewords(self) -> Iterator[Codeword]:
-        """All q^{n-1} codewords, section-major then rank order."""
-        for j in range(self.q):
-            for r in range(self.codewords_per_section):
-                yield self.codeword_from_rank(j, r)
-
     # -- bulk kernel (int64 arrays, one vector per row) -------------------
 
     def encode(self, section: np.ndarray, rank: np.ndarray, slot: np.ndarray) -> np.ndarray:
@@ -317,12 +310,6 @@ class PerfectLeeCode:
                     return MinDistanceResult(w, vec, True)
         return MinDistanceResult(radius_cap + 1, None, False)
 
-    def codewords_of_weight(self, w: int) -> list[IntVector]:
-        """All codewords of exact Mannheim weight w, as centered vectors."""
-        return [
-            vec for vec in weight_w_vectors(self.n, w, self.q) if self.lattice_membership(vec)
-        ]
-
     def section_subcode_distance(self) -> int:
         """Minimum Mannheim weight over the q x q cross-section subcode.
 
@@ -336,7 +323,7 @@ class PerfectLeeCode:
                 point = tuple((a * u + b * w) % q for u, w in zip(v, v1))
                 if not any(point):
                     continue
-                weight = sum(abs(canonical_rep(x, q)) for x in point)
+                weight = mannheim_weight(point, q)
                 if best is None or weight < best:
                     best = weight
         assert best is not None
@@ -350,12 +337,13 @@ class PerfectLeeCode:
         """Certify that the codeword spheres tile Z_q^n exactly once.
 
         ``exhaustive`` first encodes every (codeword, slot) pair in
-        iter_codewords then slot order, reports repeats in that order and
+        section, rank, then slot order, reports repeats in that order and
         counts the gaps.  Both modes then decode hypercubes in bulk and
         report each row that decode flags ``bad``, in row order:
         ``exhaustive`` all q^n of them in linear-index order, ``sampled``
-        ``samples`` seeded-random ones.  The scalar tile_assign is
-        cross-checked against the bulk decode on the first 1000 rows.
+        ``samples`` seeded-random ones.  On the first 1000 rows the scalar
+        tile_assign must give decode's (section, rank, slot), or fail
+        (None) on exactly the rows decode flags ``bad``.
         """
         if mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown verification mode: {mode!r}")
@@ -386,27 +374,21 @@ class PerfectLeeCode:
             z = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
 
         report.hypercubes_checked = len(z)
-        bad = self.decode(z)[3]
+        section, rank, slot, bad = self.decode(z)
         broken = z[bad]
         report.add_violations(
             len(broken), (f"tile_assign broken at {tuple(row.tolist())}" for row in broken)
         )
-        for row, flagged in zip(z[:1000].tolist(), bad[:1000].tolist()):
-            if self._tile_assign_consistent(tuple(row)) == flagged:
+        bulk = zip(section[:1000].tolist(), rank[:1000].tolist(), slot[:1000].tolist())
+        for row, answer, flagged in zip(z[:1000].tolist(), bulk, bad[:1000].tolist()):
+            try:
+                cw, cw_slot = self.tile_assign(row)
+                scalar = (cw.section, cw.rank, cw_slot)
+            except ValueError:
+                scalar = None
+            if scalar != (None if flagged else answer):
                 report.add_violation(f"scalar tile_assign disagrees with decode at {tuple(row)}")
         return report
-
-    def _tile_assign_consistent(self, z: tuple[int, ...]) -> bool:
-        try:
-            ta = self.tile_assign(z)
-        except ValueError:
-            # decoded point rejected by rank_of: not on the generator lattice
-            return False
-        rebuilt = tuple(
-            (c + d) % self.q
-            for c, d in zip(ta.codeword.point, slot_offset(ta.slot, self.n))
-        )
-        return rebuilt == z and self.syndrome(ta.codeword.point) == 0
 
 
 @dataclass

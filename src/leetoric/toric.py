@@ -54,14 +54,6 @@ def code_params(n: int, code: PerfectLeeCode | None = None) -> ToricParams:
     return ToricParams(n=n, q=q, N=N, k=alpha, d=d, t=t, R=R, G=R * (t + 1))
 
 
-def face_count(n: int) -> int:
-    """Total number of faces of the q^n hypercubic lattice, q = 2n + 1."""
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    q = 2 * n + 1
-    return (n * (n - 1) // 2) * q**n
-
-
 def pair_rank(a: int, b: int, n: int) -> int:
     """Lexicographic rank of the axis pair (a, b), 1 <= a < b <= n."""
     if not 1 <= a < b <= n:

@@ -84,7 +84,7 @@ def test_c03_minimum_distances(codes):
         ok = True
         details = []
         for n, code in codes.items():
-            low = code.codewords_of_weight(1) + code.codewords_of_weight(2)
+            low = code.min_mannheim_distance(radius_cap=2).exact
             scan = code.min_mannheim_distance()
             section = code.section_subcode_distance()
             witness_ok = (

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from leetoric.checks import _check_chain_membership, run_verification
-from leetoric.leecode import PerfectLeeCode, build_generators
+from leetoric.lattice import determinant
+from leetoric.leecode import PerfectLeeCode, build_generators, weight_w_vectors
 
 
 def in_lattice(rows, x):
@@ -43,6 +44,36 @@ class TestChainMembership:
         ok, detail = _check_chain_membership(code, None, "exhaustive", 1, 0)
         assert not ok
         assert detail == "|det A| = 22 != q = 11"
+
+
+class TestMinDistanceReadsGenerators:
+    def test_v1_fault_fails_with_weight_one_witness(self):
+        # the rows span a lattice of index 7 that contains e_2; h.e_2 = 2,
+        # so a membership test that reads only h cannot see it
+        gens = build_generators(5)
+        code = PerfectLeeCode(replace(gens, v1=(0, 0, 0, 1, 1)))
+        assert determinant(code.matrix) == -7
+        assert in_lattice(code.matrix, (0, 1, 0, 0, 0))
+        assert code.lattice_membership((0, 1, 0, 0, 0))
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
+        assert not rows["min_distance"].ok
+        assert rows["min_distance"].detail == (
+            "minimum Mannheim distance 1, witness (0, 1, 0, 0, 0)"
+        )
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_membership_agrees_with_exact_oracle(self, n):
+        code = PerfectLeeCode(build_generators(n))
+        for w in (1, 2, 3):
+            for vec in weight_w_vectors(n, w, code.q):
+                assert code.lattice_membership(vec) == in_lattice(code.matrix, vec)
+
+    def test_singular_generator_aborts_min_distance(self):
+        gens = build_generators(5)
+        code = PerfectLeeCode(replace(gens, v1=gens.v))
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
+        assert not rows["min_distance"].ok
+        assert rows["min_distance"].detail == "check aborted: generator matrix is singular"
 
 
 class TestRunVerification:

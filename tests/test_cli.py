@@ -90,6 +90,7 @@ class TestVerify:
                     "FAIL section_confinement: physical codeword of LogicalAddress(section=0,"
                     " rank=1, orientation=0, position=0) leaves section 0",
                     "FAIL chain_membership: generator (0, 1, 1, 1, -3) not in ker h mod q",
+                    "FAIL min_distance: minimum Mannheim distance 2, witness (0, 1, 1, 0, 0)",
                 ],
                 id="n5-exhaustive",
             ),

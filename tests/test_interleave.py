@@ -91,7 +91,7 @@ class TestScalarMap:
         for _ in range(500):
             addr = map5.logical_from_lin(rnd.randrange(map5.n_faces))
             face = map5.logical_to_physical(addr)
-            host = code5.tile_assign(face.anchor).codeword
+            host = code5.tile_assign(face.anchor)[0]
             assert host.section == addr.section
 
 

@@ -5,14 +5,12 @@ import pytest
 
 from leetoric.lattice import (
     canonical_rep,
-    centered,
     determinant,
     hypercube_from_lin,
     hypercube_lin_indices,
     hypercubes_from_lin,
     hypercube_lin_index,
     lee_distance,
-    lee_sphere,
     mannheim_weight,
     slot_offset,
 )
@@ -58,9 +56,6 @@ class TestMannheimWeight:
     def test_examples(self):
         assert mannheim_weight((1, 1, 10, 0, 0), 11) == 3
         assert mannheim_weight((0, 0, 0, 1, 8), 11) == 4
-
-    def test_centered_helper(self):
-        assert centered((1, 1, 10, 0, 0), 11) == (1, 1, -1, 0, 0)
 
     @pytest.mark.parametrize("q, n", [(11, 5), (15, 7)])
     def test_positive_definite(self, q, n):
@@ -149,27 +144,22 @@ class TestSlotOffset:
 
 
 class TestLeeSphere:
-    def test_origin_sphere(self):
-        sphere = lee_sphere((0,) * 5, 11)
-        assert len(sphere.members) == 11
-        assert len(set(sphere.members)) == 11
-        assert sphere.members[0] == (0,) * 5
-
-    def test_wraparound(self):
-        sphere = lee_sphere((10, 0, 0, 0, 0), 11)
-        assert (0, 0, 0, 0, 0) in sphere.members
-
-    def test_random_centers_geometry(self):
+    def test_random_centers_geometry(self, code5):
+        # the sphere the interleaver uses: center + code.offsets[b], in slot order
         rnd = random.Random(5)
-        for _ in range(30):
-            center = tuple(rnd.randrange(11) for _ in range(5))
-            sphere = lee_sphere(center, 11)
-            assert len(set(sphere.members)) == 11
-            for m in sphere.members:
+        centers = [(0,) * 5, (10, 0, 0, 0, 0)]
+        centers += [tuple(rnd.randrange(11) for _ in range(5)) for _ in range(30)]
+        for center in centers:
+            members = [tuple((c + d) % 11 for c, d in zip(center, off)) for off in code5.offsets]
+            assert len(set(members)) == 11
+            assert members[0] == center
+            for m in members:
                 assert lee_distance(center, m, 11) <= 1
-            for a in sphere.members:
-                for b in sphere.members:
+            for a in members:
+                for b in members:
                     assert lee_distance(a, b, 11) <= 2
+            if center == (10, 0, 0, 0, 0):
+                assert (0,) * 5 in members  # wraparound
 
 
 class TestHypercubeLinIndex:

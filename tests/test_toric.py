@@ -4,10 +4,10 @@ from fractions import Fraction
 
 import pytest
 
+from leetoric.interleave import interleaved_params
 from leetoric.toric import (
     FaceIndex,
     code_params,
-    face_count,
     face_from_lin,
     face_lin_index,
     kitaev_2d_stabilizers,
@@ -43,17 +43,6 @@ class TestCodeParams:
         assert params.G == 2 * params.R
         assert params.R == Fraction(1, 2 * n + 1)
         assert params.t == 1
-
-
-class TestFaceCount:
-    def test_values(self):
-        assert face_count(5) == 10 * 11**5 == 1_610_510
-        assert face_count(2) == 25
-        assert face_count(6) == 15 * 13**6
-
-    def test_rejects_n1(self):
-        with pytest.raises(ValueError):
-            face_count(1)
 
 
 class TestPairRank:
@@ -92,14 +81,14 @@ class TestFaceIndex:
         q = 2 * n + 1
         rnd = random.Random(n)
         for _ in range(2000):
-            idx = rnd.randrange(face_count(n))
+            idx = rnd.randrange(interleaved_params(n).length)
             face = face_from_lin(idx, n, q)
             assert face_lin_index(face, q) == idx
             assert 1 <= face.axes[0] < face.axes[1] <= n
 
     def test_range_check(self):
         with pytest.raises(ValueError):
-            face_from_lin(face_count(5), 5, 11)
+            face_from_lin(interleaved_params(5).length, 5, 11)
 
     def test_exhaustive_bijection_n5(self):
         # structural enumeration (anchors in big-endian order, axis
@@ -111,7 +100,7 @@ class TestFaceIndex:
             for axes in axes_in_order:
                 assert face_lin_index(FaceIndex(anchor, axes), q) == expected
                 expected += 1
-        assert expected == face_count(n)
+        assert expected == interleaved_params(n).length
 
 
 class TestKitaev2D:
