@@ -84,9 +84,21 @@ def _check_orthogonality(code, map_, mode, samples, seed):
 
 
 def _check_residue_coverage(code, map_, mode, samples, seed):
-    cover = code.syndrome_residues()
-    ok = cover == list(range(code.q))
-    return ok, f"{{0}} u {{+-h_i}} mod q = {cover}"
+    q, cover = code.q, code.syndrome_residues()
+    detail = f"{{0}} u {{+-h_i}} mod q = {cover}"
+    if cover != list(range(q)):
+        return False, detail
+    # the syndrome -> slot tables that tile_assign (tuple) and decode (array) read
+    # must invert the slot offsets' syndromes
+    for name, table in (("slot_of", list(code.slot_of)), ("_slot_of", code._slot_of.tolist())):
+        if sorted(table) != list(range(q)):
+            return False, f"{name} = {table} is not a permutation of range({q})"
+        for s, slot in enumerate(table):
+            offset = code.offsets[slot]
+            got = code.syndrome([d % q for d in offset])
+            if got != s:
+                return False, f"{name}[{s}] = {slot}, whose offset {offset} has syndrome {got}"
+    return True, detail
 
 
 def _check_chain_membership(code, map_, mode, samples, seed):

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Iterable
 
 import numpy as np
 
@@ -25,6 +24,9 @@ from .toric import FaceIndex, face_from_lin, face_lin_index, pair_from_rank
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
 INT64_MAX = np.iinfo(np.int64).max
+# simulate tallies bursts in chunks of about this many faces; larger chunks
+# cost peak memory and gain little
+CHUNK_FACES = 1024
 
 
 @dataclass(frozen=True)
@@ -233,8 +235,22 @@ def make_burst(
     The input rules are checked here, before anything is drawn: a known
     model, a count in [0, n_faces] for uniform-random and for no other
     model, and draws that fit in int64 (uniform-random needs n <= 12,
-    aligned n <= 14).  A broken rule raises ValueError.
+    aligned n <= 14).  A broken rule raises ValueError.  This is the
+    one-trial view of the draw that ``simulate`` runs in batches.
     """
+    _check_burst_rules(map_, model, count)
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(rng)
+    anchors, orientations, centers = _draw_burst(map_, model, rng, count)
+    faces = frozenset(
+        FaceIndex(tuple(a), pair_from_rank(o, map_.n))
+        for a, o in zip(anchors.tolist(), orientations.tolist())
+    )
+    return BurstPattern(model, faces, tuple(map(tuple, centers.tolist())))
+
+
+def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> None:
+    """Raise ValueError unless ``model`` with ``count`` can be drawn on map_."""
     code = map_.code
     if model not in BURST_MODELS:
         raise ValueError(f"unknown burst model: {model!r}")
@@ -244,65 +260,63 @@ def make_burst(
         if count is None or count < 0:
             raise ValueError(f"uniform-random model needs a count >= 0, got {count}")
         map_.check_int64()
+        if count > map_.n_faces:
+            raise ValueError(f"cannot draw {count} distinct faces out of {map_.n_faces}")
     if model == "aligned" and code.codewords_per_section > INT64_MAX:
         raise ValueError(
             f"aligned model draws ranks below q^(n-2) = {code.codewords_per_section},"
             f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)"
         )
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
-    n, q = map_.n, map_.q
 
-    faces: list[FaceIndex] = []
-    centers: list[IntVector] = []
+
+def _draw_burst(
+    map_: InterleavingMap, model: str, rng: np.random.Generator, count: int | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One burst as int64 arrays (anchors (k, n), orientations (k,), centers).
+
+    The rng calls, with their bounds, sizes and order, define the models
+    of make_burst.  A sphere model draws its center (aligned: a rank),
+    then q orientations, sphere by sphere; aligned makes its orientation
+    draws too, though only make_burst reads them.
+    """
+    code, n, q = map_.code, map_.n, map_.q
     if model == "uniform-random":
-        for idx in _sample_distinct(rng, map_.n_faces, count):
-            faces.append(face_from_lin(idx, n, q))
-    elif model == "translate":
-        center = tuple(int(x) for x in rng.integers(0, q, size=n))
-        centers.append(center)
-        faces.extend(_sphere_errors(center, rng, code))
-    elif model == "aligned":
-        for j in range(q):
-            r = int(rng.integers(0, code.codewords_per_section))
-            center = code.codeword_from_rank(j, r).point
-            centers.append(center)
-            faces.extend(_sphere_errors(center, rng, code))
-    else:  # multi-translate
-        seen: set[IntVector] = set()
-        for j in range(q):
-            center = (j,) + tuple(int(x) for x in rng.integers(0, q, size=n - 1))
-            centers.append(center)
-            for face in _sphere_errors(center, rng, code):
-                if face.anchor not in seen:
-                    seen.add(face.anchor)
-                    faces.append(face)
-    return BurstPattern(model, frozenset(faces), tuple(centers))
+        lin, orientations = np.divmod(_sample_distinct(rng, map_.n_faces, count), code.alpha)
+        return hypercubes_from_lin(lin, q, n), orientations, np.empty((0, n), dtype=np.int64)
+    if model == "translate":
+        centers = rng.integers(0, q, size=n)[None]
+        orientations = rng.integers(0, code.alpha, size=q)
+    else:
+        bound, size = (code.codewords_per_section, None) if model == "aligned" else (q, n - 1)
+        heads, orientations = [], []
+        for _ in range(q):
+            heads.append(rng.integers(0, bound, size=size))
+            orientations.append(rng.integers(0, code.alpha, size=q))
+        orientations = np.concatenate(orientations)
+        sections = np.arange(q, dtype=np.int64)
+        if model == "aligned":
+            ranks = np.array(heads, dtype=np.int64)
+            centers = code.encode(sections, ranks, np.zeros_like(sections))
+        else:
+            centers = np.column_stack([sections, heads])
+    anchors = (centers[:, None, :] + code._offsets).reshape(-1, n) % q
+    if model == "multi-translate":  # keep the first face drawn on each hypercube
+        rows = anchors.view(np.dtype((np.void, anchors.itemsize * n))).ravel()
+        keep = np.sort(np.unique(rows, return_index=True)[1])
+        anchors, orientations = anchors[keep], orientations[keep]
+    return anchors, orientations, centers
 
 
-def _sphere_errors(
-    center: IntVector, rng: np.random.Generator, code: PerfectLeeCode
-) -> Iterable[FaceIndex]:
-    """One uniformly oriented errored face on each hypercube of a sphere."""
-    n, q = code.n, code.q
-    orientations = rng.integers(0, code.alpha, size=q)
-    for off, o in zip(code.offsets, orientations):
-        anchor = tuple((c + d) % q for c, d in zip(center, off))
-        yield FaceIndex(anchor, pair_from_rank(int(o), n))
+def _sample_distinct(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
+    """k distinct uniform indices in [0, total), in the order first drawn.
 
-
-def _sample_distinct(rng: np.random.Generator, total: int, k: int) -> list[int]:
-    """k distinct uniform indices in [0, total) by rejection (k << total)."""
-    if k > total:
-        raise ValueError(f"cannot draw {k} distinct faces out of {total}")
-    chosen: set[int] = set()
-    out: list[int] = []
+    Draws k - len(out) more values at a time and keeps the first
+    occurrence of each value in out + draw, until k are kept.
+    """
+    out = np.empty(0, dtype=np.int64)
     while len(out) < k:
-        for idx in rng.integers(0, total, size=k - len(out)):
-            idx = int(idx)
-            if idx not in chosen:
-                chosen.add(idx)
-                out.append(idx)
+        out = np.concatenate([out, rng.integers(0, total, size=k - len(out))])
+        out = out[np.sort(np.unique(out, return_index=True)[1])]
     return out
 
 
@@ -362,30 +376,33 @@ def simulate(
 
     Each trial draws its own RNG from (master_seed, trial index), so the
     aggregate is independent of execution order and safe to partition
-    across workers.  Trial 0's make_burst checks the model and count
-    before any burst is drawn.
+    across workers.  The trials and the input rules are checked before
+    any burst is drawn.  Bursts are tallied in chunks of about
+    CHUNK_FACES faces; the result equals a loop of make_burst and
+    deinterleave_and_correct over the same trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    successes = 0
-    max_tally = 0
-    max_errors = 0
+    _check_burst_rules(map_, model, count)
+    successes = max_tally = max_errors = total_errors = total_blocks = 0
     histogram: dict[int, int] = {}
-    total_errors = 0
-    total_blocks = 0
+    bursts: list[np.ndarray] = []
+    faces = 0
     for trial in range(trials):
-        burst = make_burst(map_, model, trial_rng(master_seed, trial), count)
-        report = deinterleave_and_correct(map_, burst)
-        if report.success:
-            successes += 1
-        for tally in report.counts.values():
-            histogram[tally] = histogram.get(tally, 0) + 1
-            total_errors += tally
-            total_blocks += 1
-            if tally > max_tally:
-                max_tally = tally
-        if len(burst.faces) > max_errors:
-            max_errors = len(burst.faces)
+        bursts.append(_draw_burst(map_, model, trial_rng(master_seed, trial), count)[0])
+        faces += len(bursts[-1])
+        if faces < CHUNK_FACES and len(bursts) < CHUNK_FACES and trial < trials - 1:
+            continue
+        worst, tallies = _tally(map_.code, bursts)
+        successes += int(np.count_nonzero(worst <= 1))
+        max_tally = max(max_tally, int(worst.max()))
+        max_errors = max(max_errors, max(map(len, bursts)))
+        total_errors += faces
+        total_blocks += len(tallies)
+        for tally, blocks in enumerate(np.bincount(tallies).tolist()):
+            if blocks:
+                histogram[tally] = histogram.get(tally, 0) + blocks
+        bursts, faces = [], 0
     return SimulationStats(
         n=map_.n,
         q=map_.q,
@@ -401,3 +418,30 @@ def simulate(
         mean_tally=total_errors / total_blocks if total_blocks else 0.0,
         tally_histogram=histogram,
     )
+
+
+def _tally(code: PerfectLeeCode, bursts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
+    """(worst tally per burst, every nonzero tally) of a chunk of bursts.
+
+    A face's logical codeword is (section, rank) with rank = slot *
+    q^(n-3) + the middle digits read in base q, so it is keyed on
+    (burst, section, slot, middle digits): small ints, with no combined
+    key to overflow at large n.  A face on no codeword sphere, which
+    only a corrupted code has, raises ValueError.
+    """
+    anchors = np.concatenate(bursts)
+    (section, *middle, _), slot, bad = code.decode_digits(anchors)
+    if bad.any():
+        raise ValueError(f"face anchor {tuple(anchors[bad][0].tolist())} is on no codeword sphere")
+    owner = np.repeat(np.arange(len(bursts)), [len(b) for b in bursts])
+    # lexsort sorts on the last row first, and far faster on narrow ints
+    keys = np.stack(middle + [slot, section, owner])
+    keys = keys.astype(np.min_scalar_type(max(code.q, len(bursts))))
+    keys = keys[:, np.lexsort(keys)]
+    first = np.ones(keys.shape[1], dtype=bool)
+    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    first = np.flatnonzero(first)
+    tallies = np.diff(first, append=keys.shape[1])
+    worst = np.zeros(len(bursts), dtype=np.int64)
+    np.maximum.at(worst, keys[-1, first], tallies)
+    return worst, tallies

@@ -282,6 +282,17 @@ class PerfectLeeCode:
         flags rows whose point is not on the generator lattice; their
         section and rank are meaningless.
         """
+        digits, slot, bad = self.decode_digits(anchor)
+        section, *middle, m_v = digits
+        rank = m_v + sum(m_k * self.q ** (i + 1) for i, m_k in enumerate(middle))
+        return section, rank, slot, bad
+
+    def decode_digits(self, anchor: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """decode before the rank is composed: (digits, slot, bad).
+
+        ``digits`` is [section, m_2, ..., m_{n-2}, m_v], one int64 array
+        per digit, each below q, so nothing overflows at any n.
+        """
         q, n, rows = self.q, self.n, self._rows
         slot = self._slot_of[(anchor @ self._h) % q]
         x = anchor - self._offsets[slot]
@@ -291,9 +302,7 @@ class PerfectLeeCode:
             digits.append(x[:, col].copy())
             x -= digits[-1][:, None] * rows[row]
             x %= q
-        section, *middle, m_v = digits
-        rank = m_v + sum(m_k * q ** (i + 1) for i, m_k in enumerate(middle))
-        return section, rank, slot, x.any(axis=1)
+        return digits, slot, x.any(axis=1)
 
     # -- distance certificates -----------------------------------------
 

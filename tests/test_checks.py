@@ -1,6 +1,7 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from leetoric.checks import _check_chain_membership, run_verification
@@ -81,3 +82,40 @@ class TestRunVerification:
         with pytest.raises(ValueError, match=r"int64 limit 2\^63 - 1"):
             run_verification(13, "sampled", samples=1000)
 
+
+
+class TestResidueCoverageReadsSlotTable:
+    @pytest.mark.parametrize("tables, detail", [
+        (("slot_of", "_slot_of"), "slot_of[1] = 3, whose offset (0, 1, 0, 0, 0) has syndrome 2"),
+        (("slot_of",), "slot_of[1] = 3, whose offset (0, 1, 0, 0, 0) has syndrome 2"),
+        (("_slot_of",), "_slot_of[1] = 3, whose offset (0, 1, 0, 0, 0) has syndrome 2"),
+    ])
+    def test_swapped_slot_table_fails(self, tables, detail):
+        # h still covers Z_q, so a check that reads only h cannot see this fault
+        code = PerfectLeeCode(build_generators(5))
+        table = list(code.slot_of)
+        table[1], table[2] = table[2], table[1]
+        if "slot_of" in tables:
+            code.slot_of = tuple(table)
+        if "_slot_of" in tables:
+            code._slot_of = np.array(table, dtype=np.int64)
+        assert code.syndrome_residues() == list(range(11))
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
+        assert not rows["residue_coverage"].ok
+        assert rows["residue_coverage"].detail == detail
+
+    def test_non_permutation_table_fails(self):
+        code = PerfectLeeCode(build_generators(5))
+        code._slot_of = code._slot_of.copy()
+        code._slot_of[1] = 0
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
+        assert rows["residue_coverage"].detail == (
+            "_slot_of = [0, 0, 3, 5, 7, 9, 10, 8, 6, 4, 2] is not a permutation of range(11)"
+        )
+
+    def test_valid_code_detail_unchanged(self, code5):
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code5)}
+        assert rows["residue_coverage"].ok
+        assert rows["residue_coverage"].detail == (
+            "{0} u {+-h_i} mod q = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
+        )

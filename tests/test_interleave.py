@@ -1,14 +1,20 @@
+import hashlib
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from leetoric import interleave
 from leetoric.interleave import (
+    BURST_MODELS,
     BurstPattern,
     InterleavingMap,
     LogicalAddress,
+    SimulationStats,
+    _sample_distinct,
     deinterleave_and_correct,
     interleaved_params,
     make_burst,
@@ -169,7 +175,41 @@ class TestBulkMap:
         assert np.array_equal(map6.inverse_indices(map6.forward_indices(idx)), idx)
 
 
+# make_burst at n=5, seeds 0..9, hashed over (sorted faces, centers) at the
+# scalar implementation that preceded the batched draw
+BURST_SHA256 = {
+    "aligned": "6b3cc7c810b430cd07229dc2026061f0317b7edd53f366f742a46d684631bb20",
+    "translate": "c9ac57f62b98b55c4443f6844e0d26fc46a28715fd889a07c87d3a30140d9ff4",
+    "multi-translate": "e170729a98dc8f78e26075a80428de0089a87287e0199ce23ddb9670dbda8553",
+    "uniform-random": "038bc40bde8cfbeef4c978285a7d1adc657e46f05ccd72fccacf71e373d16e84",
+}
+
+
 class TestMakeBurst:
+    @pytest.mark.parametrize("model", BURST_MODELS)
+    def test_draws_are_pinned(self, map5, model):
+        digest = hashlib.sha256()
+        for seed in range(10):
+            burst = make_burst(map5, model, seed, 121 if model == "uniform-random" else None)
+            faces = sorted((f.anchor, f.orientation) for f in burst.faces)
+            digest.update(repr((faces, burst.centers)).encode())
+        assert digest.hexdigest() == BURST_SHA256[model]
+
+    def test_sample_distinct_replays_the_rejection_loop(self):
+        def loop(rng, total, k):
+            chosen, out = set(), []
+            while len(out) < k:
+                for idx in rng.integers(0, total, size=k - len(out)).tolist():
+                    if idx not in chosen:
+                        chosen.add(idx)
+                        out.append(idx)
+            return out
+
+        for seed in range(30):
+            for total, k in ((50, 40), (40, 40), (7, 0), (10**6, 121)):
+                got = _sample_distinct(np.random.default_rng(seed), total, k)
+                assert got.tolist() == loop(np.random.default_rng(seed), total, k)
+
     def test_unknown_model(self, map5):
         with pytest.raises(ValueError, match="unknown burst model"):
             make_burst(map5, "diagonal")
@@ -202,6 +242,19 @@ class TestMakeBurst:
         anchors = [f.anchor for f in burst.faces]
         assert len(anchors) == len(set(anchors))  # one error per hypercube
         assert len(burst.faces) <= 121
+
+    def test_multi_translate_one_face_per_covered_hypercube(self, map5, code5):
+        overlapped = 0
+        for seed in [*range(10), 317, 459, 2070]:  # spheres overlap at the last three
+            burst = make_burst(map5, "multi-translate", seed)
+            covered = {
+                tuple((c + d) % 11 for c, d in zip(center, off))
+                for center in burst.centers for off in code5.offsets
+            }
+            assert {f.anchor for f in burst.faces} == covered
+            assert len(burst.faces) == len(covered)
+            overlapped += len(covered) < 121
+        assert overlapped == 3
 
     def test_uniform_random_counts(self, map5):
         assert make_burst(map5, "uniform-random", 8, count=0).faces == frozenset()
@@ -317,3 +370,98 @@ class TestSimulate:
     def test_rejects_unknown_model(self, map5):
         with pytest.raises(ValueError, match="unknown burst model"):
             simulate(map5, "diagonal", 2)
+
+
+def oracle_simulate(map_, model, trials, master_seed=0, count=None):
+    """simulate as a loop of the scalar chain with a dict tally."""
+    successes = max_tally = max_errors = total_errors = total_blocks = 0
+    histogram = {}
+    for trial in range(trials):
+        burst = make_burst(map_, model, trial_rng(master_seed, trial), count)
+        report = deinterleave_and_correct(map_, burst)
+        successes += report.success
+        for tally in report.counts.values():
+            histogram[tally] = histogram.get(tally, 0) + 1
+            total_errors += tally
+            total_blocks += 1
+            max_tally = max(max_tally, tally)
+        max_errors = max(max_errors, len(burst.faces))
+    return SimulationStats(
+        n=map_.n, q=map_.q, model=model, trials=trials, master_seed=master_seed,
+        errors_per_trial_max=max_errors, uniform_count=count, successes=successes,
+        failures=trials - successes, success_rate=successes / trials, max_tally=max_tally,
+        mean_tally=total_errors / total_blocks if total_blocks else 0.0,
+        tally_histogram=histogram,
+    )
+
+
+MAPS = {n: InterleavingMap(generator_matrix(n)) for n in (5, 6, 7)}
+
+
+class TestBatchKernelExactness:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        model=st.sampled_from(BURST_MODELS),
+        n=st.sampled_from((5, 6, 7)),
+        seed=st.integers(0, 2**32),
+        trials=st.integers(1, 40),
+        count=st.integers(0, 300),
+    )
+    def test_equals_scalar_oracle(self, model, n, seed, trials, count):
+        count = count if model == "uniform-random" else None
+        got = simulate(MAPS[n], model, trials, seed, count)
+        want = oracle_simulate(MAPS[n], model, trials, seed, count)
+        assert got == want and got.to_dict() == want.to_dict()
+
+    @pytest.mark.parametrize("model, trials, count", [
+        ("translate", 200, None),  # chunks of 94, 94 and 12 trials
+        ("aligned", 20, None),  # 9, 9 and 2
+        ("multi-translate", 19, None),
+        ("uniform-random", 17, 121),
+    ])
+    def test_trials_cross_a_chunk_boundary(self, map5, model, trials, count):
+        faces = {"translate": 11, "uniform-random": count}.get(model, 121)
+        per_chunk = -(-interleave.CHUNK_FACES // faces)  # trials until a chunk has enough faces
+        assert trials > per_chunk and trials % per_chunk
+        assert simulate(map5, model, trials, 9, count) == oracle_simulate(
+            map5, model, trials, 9, count)
+
+    @pytest.mark.parametrize("chunk", [1, 50, 300])
+    def test_any_chunk_size_gives_the_same_stats(self, map5, monkeypatch, chunk):
+        want = oracle_simulate(map5, "multi-translate", 13, 4)
+        monkeypatch.setattr(interleave, "CHUNK_FACES", chunk)
+        assert simulate(map5, "multi-translate", 13, 4) == want
+
+    @pytest.mark.parametrize("model", BURST_MODELS)
+    def test_one_trial(self, map5, model):
+        count = 121 if model == "uniform-random" else None
+        for seed in (0, 1, 2):
+            assert simulate(map5, model, 1, seed, count) == oracle_simulate(
+                map5, model, 1, seed, count)
+
+    def test_uniform_random_count_zero(self, map5):
+        stats = simulate(map5, "uniform-random", 30, 3, count=0)
+        assert stats == oracle_simulate(map5, "uniform-random", 30, 3, 0)
+        assert (stats.successes, stats.tally_histogram, stats.mean_tally) == (30, {}, 0.0)
+        assert stats.errors_per_trial_max == 0
+
+    @pytest.mark.parametrize("n, model, trials, count", [
+        (15, "translate", 4, None),  # logical ranks above 2^63 - 1
+        (16, "multi-translate", 2, None),
+        (14, "aligned", 2, None),  # the largest n aligned can draw
+        (12, "uniform-random", 3, 500),  # the largest n uniform-random can draw
+    ])
+    def test_past_int64_rank(self, n, model, trials, count):
+        map_ = InterleavingMap(generator_matrix(n))
+        assert simulate(map_, model, trials, 5, count) == oracle_simulate(
+            map_, model, trials, 5, count)
+
+    def test_face_off_every_sphere_raises(self):
+        gens = build_generators(5)
+        middle = list(gens.middle)
+        middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
+        bad_map = InterleavingMap(PerfectLeeCode(replace(gens, middle=tuple(middle))))
+        with pytest.raises(ValueError, match="is on no codeword sphere"):
+            simulate(bad_map, "uniform-random", 5, count=121)
+        with pytest.raises(ValueError, match="is not a codeword"):
+            oracle_simulate(bad_map, "uniform-random", 5, count=121)
