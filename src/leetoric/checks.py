@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import determinant
 from .leecode import PerfectLeeCode, generator_matrix
 from .interleave import InterleavingMap
 
@@ -72,8 +71,7 @@ def run_verification(
 
 
 def _check_determinant(code, map_, mode, samples, seed):
-    det = determinant(code.matrix)
-    return abs(det) == code.q, f"det A = {det}, expected |det| = q = {code.q}"
+    return abs(code.det) == code.q, f"det A = {code.det}, expected |det| = q = {code.q}"
 
 
 def _check_orthogonality(code, map_, mode, samples, seed):
@@ -88,16 +86,16 @@ def _check_residue_coverage(code, map_, mode, samples, seed):
     detail = f"{{0}} u {{+-h_i}} mod q = {cover}"
     if cover != list(range(q)):
         return False, detail
-    # the syndrome -> slot tables that tile_assign (tuple) and decode (array) read
-    # must invert the slot offsets' syndromes
-    for name, table in (("slot_of", list(code.slot_of)), ("_slot_of", code._slot_of.tolist())):
-        if sorted(table) != list(range(q)):
-            return False, f"{name} = {table} is not a permutation of range({q})"
-        for s, slot in enumerate(table):
-            offset = code.offsets[slot]
-            got = code.syndrome([d % q for d in offset])
-            if got != s:
-                return False, f"{name}[{s}] = {slot}, whose offset {offset} has syndrome {got}"
+    # the syndrome -> slot table that tile_assign and decode read must invert
+    # the slot offsets' syndromes
+    table = code._slot_of.tolist()
+    if sorted(table) != list(range(q)):
+        return False, f"_slot_of = {table} is not a permutation of range({q})"
+    for s, slot in enumerate(table):
+        offset = code.offsets[slot]
+        got = code.syndrome([d % q for d in offset])
+        if got != s:
+            return False, f"_slot_of[{s}] = {slot}, whose offset {offset} has syndrome {got}"
     return True, detail
 
 
@@ -105,7 +103,7 @@ def _check_chain_membership(code, map_, mode, samples, seed):
     # qZ^n <= lattice = ker h: |det A| = q makes q*A^-1 = +-adj A integral, so
     # every q*e_i is in the lattice; orthogonality puts the lattice inside
     # ker h, which also has index q, so the two are equal
-    det = abs(determinant(code.matrix))
+    det = abs(code.det)
     problems = [f"|det A| = {det} != q = {code.q}"] if det != code.q else []
     problems += [f"generator {row} not in ker h mod q" for row in code.non_orthogonal_rows()]
     if problems:

@@ -137,8 +137,7 @@ def entry() -> None:
 
 
 def cmd_params(args, parser) -> int:
-    code = generator_matrix(args.n)
-    toric = code_params(args.n, code)
+    toric = code_params(args.n)
     inter = interleaved_params(args.n)
     p = args.precision
     if args.format == "json":
@@ -218,37 +217,40 @@ def cmd_verify(args, parser) -> int:
 # -- tables ---------------------------------------------------------------
 
 
-def _table_row(n, q, length, dimension, extra, rate, gain, ref, places):
-    return {
-        "n": n,
-        "q": q,
-        "length": length,
-        "dimension": dimension,
-        **extra,
-        "rate": _rounded(rate, places),
-        "gain": _rounded(gain, places),
-        "rate_printed": float(ref[0]) if ref else None,
-        "gain_printed": float(ref[1]) if ref else None,
-        "rate_deviation": float(abs(rate - ref[0])) if ref else None,
-        "gain_deviation": float(abs(gain - ref[1])) if ref else None,
-    }
-
-
-def _table_rows(dims: list[int], places: int):
-    toric_rows = []
-    inter_rows = []
+def _table_rows(dims: list[int], places: int) -> dict[str, list[dict]]:
+    """The tables as {kind: rows}, in output order."""
+    tables = {"toric": [], "interleaved": []}
     for n in dims:
-        tp = code_params(n, generator_matrix(n))
-        ip = interleaved_params(n)
-        toric_rows.append(
-            _table_row(n, tp.q, tp.N, tp.k, {"d": tp.d, "t": tp.t}, tp.R, tp.G,
-                       REFERENCE_TORIC.get(n), places)
-        )
-        inter_rows.append(
-            _table_row(n, ip.q, ip.length, ip.dimension, {"ti": ip.t_i}, ip.R_i, ip.G_i,
-                       REFERENCE_INTERLEAVED.get(n), places)
-        )
-    return toric_rows, inter_rows
+        tp, ip = code_params(n), interleaved_params(n)
+        for kind, counts, rate, gain, ref in (
+            ("toric", {"length": tp.N, "dimension": tp.k, "d": tp.d, "t": tp.t},
+             tp.R, tp.G, REFERENCE_TORIC.get(n)),
+            ("interleaved", {"length": ip.length, "dimension": ip.dimension, "ti": ip.t_i},
+             ip.R_i, ip.G_i, REFERENCE_INTERLEAVED.get(n)),
+        ):
+            tables[kind].append({
+                "n": n,
+                "q": tp.q,
+                **counts,
+                "rate": _rounded(rate, places),
+                "gain": _rounded(gain, places),
+                "rate_printed": float(ref[0]) if ref else None,
+                "gain_printed": float(ref[1]) if ref else None,
+                "rate_deviation": float(abs(rate - ref[0])) if ref else None,
+                "gain_deviation": float(abs(gain - ref[1])) if ref else None,
+            })
+    return tables
+
+
+# text heading, distance key and rate/gain labels of each table kind
+TABLE_TEXT = {
+    "toric": ("toric codes  [[N, k, d]]", "d", "R", "G"),
+    "interleaved": ("interleaved codes  [[N, k, t_i]]", "ti", "R_i", "G_i"),
+}
+CSV_COLUMNS = (
+    "n", "q", "length", "dimension", "d", "t", "rate", "gain",
+    "rate_printed", "gain_printed", "rate_deviation", "gain_deviation",
+)
 
 
 def cmd_tables(args, parser) -> int:
@@ -258,63 +260,34 @@ def cmd_tables(args, parser) -> int:
         parser.error(f"--rows must be comma-separated integers, got {args.rows!r}")
     if not dims:
         parser.error("--rows is empty")
-    toric_rows, inter_rows = _table_rows(dims, args.precision)
+    tables = _table_rows(dims, args.precision)
+    p = args.precision
     if args.format == "json":
-        print(json.dumps({"toric": toric_rows, "interleaved": inter_rows}))
+        print(json.dumps(tables))
     elif args.format == "csv":
         writer = csv.writer(sys.stdout, lineterminator="\n")
-        writer.writerow(
-            [
-                "code", "n", "q", "length", "dimension", "d", "t",
-                "rate", "gain", "rate_printed", "gain_printed",
-                "rate_deviation", "gain_deviation",
-            ]
-        )
-        for row in toric_rows:
-            writer.writerow(_csv_row("toric", row, row["d"], row["t"]))
-        for row in inter_rows:
-            writer.writerow(_csv_row("interleaved", row, "", row["ti"]))
+        writer.writerow(("code",) + CSV_COLUMNS)
+        for kind, rows in tables.items():
+            for row in rows:
+                # an interleaved row has no d, and its t column is t_i
+                cells = {"t": row.get("ti"), **row}
+                writer.writerow([kind] + ["" if cells.get(c) is None else cells[c]
+                                          for c in CSV_COLUMNS])
     else:
-        print("toric codes  [[N, k, d]]  (gain in dB)")
-        for row in toric_rows:
-            print(
-                f"  n={row['n']:<3} q={row['q']:<3} "
-                f"[[{row['length']}, {row['dimension']}, {row['d']}]]"
-                f"  R = {row['rate']:.{args.precision}f}"
-                f"  G = {row['gain']:.{args.precision}f}"
-                + _dev_note(row)
-            )
-        print("interleaved codes  [[N, k, t_i]]  (gain in dB)")
-        for row in inter_rows:
-            print(
-                f"  n={row['n']:<3} q={row['q']:<3} "
-                f"[[{row['length']}, {row['dimension']}, {row['ti']}]]"
-                f"  R_i = {row['rate']:.{args.precision}f}"
-                f"  G_i = {row['gain']:.{args.precision}f}"
-                + _dev_note(row)
-            )
+        for kind, rows in tables.items():
+            heading, dist, rate, gain = TABLE_TEXT[kind]
+            print(f"{heading}  (gain in dB)")
+            for row in rows:
+                note = "" if row["gain_printed"] is None else (
+                    f"  (printed {row['rate_printed']} / {row['gain_printed']},"
+                    f" gain dev {row['gain_deviation']:.5f})"
+                )
+                print(
+                    f"  n={row['n']:<3} q={row['q']:<3} "
+                    f"[[{row['length']}, {row['dimension']}, {row[dist]}]]"
+                    f"  {rate} = {row['rate']:.{p}f}  {gain} = {row['gain']:.{p}f}{note}"
+                )
     return EXIT_OK
-
-
-def _csv_row(kind, row, d, t):
-    def cell(x):
-        return "" if x is None else x
-
-    return [
-        kind, row["n"], row["q"], row["length"], row["dimension"], d, t,
-        row["rate"], row["gain"], cell(row["rate_printed"]),
-        cell(row["gain_printed"]), cell(row["rate_deviation"]),
-        cell(row["gain_deviation"]),
-    ]
-
-
-def _dev_note(row) -> str:
-    if row["gain_printed"] is None:
-        return ""
-    return (
-        f"  (printed {row['rate_printed']} / {row['gain_printed']},"
-        f" gain dev {row['gain_deviation']:.5f})"
-    )
 
 
 # -- simulate ---------------------------------------------------------------

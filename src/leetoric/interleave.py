@@ -184,15 +184,10 @@ class InterleavingMap:
         return logical
 
     def _check_address(self, addr: LogicalAddress) -> None:
-        if not 0 <= addr.section < self.q:
-            raise ValueError(f"section {addr.section} out of range [0, {self.q})")
+        # codeword_from_rank checks the section and pair_from_rank the orientation
         if not 0 <= addr.rank < self.code.codewords_per_section:
             raise ValueError(
                 f"rank {addr.rank} out of range [0, {self.code.codewords_per_section})"
-            )
-        if not 0 <= addr.orientation < self.alpha:
-            raise ValueError(
-                f"orientation {addr.orientation} out of range [0, {self.alpha})"
             )
         if not 0 <= addr.position < self.q:
             raise ValueError(f"position {addr.position} out of range [0, {self.q})")
@@ -310,14 +305,17 @@ def _draw_burst(
 def _sample_distinct(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
     """k distinct uniform indices in [0, total), in the order first drawn.
 
-    Draws k - len(out) more values at a time and keeps the first
-    occurrence of each value in out + draw, until k are kept.
+    Draws k - len(out) more values at a time and keeps each new value in
+    draw order, until k are kept.  Only the new draws are tested against
+    the kept set, so a near-total k costs its draws, not rounds x k.
     """
-    out = np.empty(0, dtype=np.int64)
+    out, kept = [], set()
     while len(out) < k:
-        out = np.concatenate([out, rng.integers(0, total, size=k - len(out))])
-        out = out[np.sort(np.unique(out, return_index=True)[1])]
-    return out
+        for x in rng.integers(0, total, size=k - len(out)).tolist():
+            if x not in kept:
+                kept.add(x)
+                out.append(x)
+    return np.array(out, dtype=np.int64)
 
 
 def deinterleave_and_correct(

@@ -122,12 +122,13 @@ class PerfectLeeCode:
         # Scalar callers read the tuples, the bulk kernel the array.
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
         self._offsets = np.array(self.offsets, dtype=np.int64)
-        # Slot of each syndrome s: +e_s (slot 2s-1) for s <= n, else -e_{q-s}
-        # (slot 2(q-s)).  tile_assign reads the tuple, decode the array.
-        self.slot_of = (0,) + tuple(2 * s - 1 if s <= n else 2 * (q - s) for s in range(1, q))
-        self._slot_of = np.array(self.slot_of, dtype=np.int64)
         self._rows = np.array(self.matrix, dtype=np.int64)
         self._h = np.array(self.h, dtype=np.int64)
+        # The one syndrome -> slot table, read by tile_assign and decode: it
+        # inverts the offsets' syndromes, a permutation of Z_q since h covers it.
+        self._slot_of = np.argsort(self._offsets @ self._h % q)
+        # encode's digit basis: the rows v_{n-1}, v_{n-2}, ..., v_2, v
+        self._digit_rows = self._rows[[n - 1, *range(n - 2, 1, -1), 0]]
 
     def __repr__(self) -> str:
         return f"PerfectLeeCode(n={self.n}, q={self.q})"
@@ -143,11 +144,15 @@ class PerfectLeeCode:
     # -- lattice-side operations (integer vectors) --------------------
 
     @functools.cached_property
+    def det(self) -> int:
+        """det A, computed once; |det A| = q for a valid code."""
+        return determinant(self.matrix)
+
+    @functools.cached_property
     def _det_adj(self) -> tuple[int, tuple[IntVector, ...]]:
         """(det A, cofactor rows of A = columns of adj A); ValueError if singular."""
         rows = self.matrix
-        det = determinant(rows)
-        if det == 0:
+        if self.det == 0:
             raise ValueError("generator matrix is singular")
         cofactors = []
         for i in range(self.n):
@@ -156,7 +161,7 @@ class PerfectLeeCode:
                 (-1) ** (i + j) * determinant([r[:j] + r[j + 1 :] for r in others])
                 for j in range(self.n)
             ))
-        return det, tuple(cofactors)
+        return self.det, tuple(cofactors)
 
     def lattice_membership(self, x: Sequence[int]) -> bool:
         """True iff the integer vector x lies in the lattice of the rows A.
@@ -191,7 +196,7 @@ class PerfectLeeCode:
         The syndrome picks the slot; rank_of peels z minus its offset and
         raises if that point is off the generator lattice.
         """
-        slot = self.slot_of[self.syndrome(z)]
+        slot = int(self._slot_of[self.syndrome(z)])
         point = tuple((a - d) % self.q for a, d in zip(z, self.offsets[slot]))
         j, r = self.rank_of(point)
         return Codeword(point, j, r), slot
@@ -263,15 +268,15 @@ class PerfectLeeCode:
         """(m, n) anchors: codeword_from_rank(section, rank) + slot offset.
 
         Inputs are 1-D int64 arrays of equal length, not range-checked.
+        The point is one product: the digit vector (section, m_{n-2}, ...,
+        m_2, m_v) times the rows (v_{n-1}, v_{n-2}, ..., v_2, v).
         """
-        q, rows = self.q, self._rows
-        rest, m_v = np.divmod(rank, q)
-        point = section[:, None] * rows[-1] + m_v[:, None] * rows[0]
-        for k in range(2, self.n - 1):
-            rest, m_k = np.divmod(rest, q)
-            point += m_k[:, None] * rows[k]
+        point = (
+            np.column_stack([section, hypercubes_from_lin(rank, self.q, self.n - 2)])
+            @ self._digit_rows
+        )
         point += self._offsets[slot]
-        point %= q
+        point %= self.q
         return point
 
     def decode(self, anchor: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -282,9 +287,8 @@ class PerfectLeeCode:
         flags rows whose point is not on the generator lattice; their
         section and rank are meaningless.
         """
-        digits, slot, bad = self.decode_digits(anchor)
-        section, *middle, m_v = digits
-        rank = m_v + sum(m_k * self.q ** (i + 1) for i, m_k in enumerate(middle))
+        (section, *middle, m_v), slot, bad = self.decode_digits(anchor)
+        rank = hypercube_lin_indices(np.column_stack(middle[::-1] + [m_v]), self.q)
         return section, rank, slot, bad
 
     def decode_digits(self, anchor: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
@@ -326,17 +330,10 @@ class PerfectLeeCode:
         """
         q = self.q
         v, v1 = self.matrix[0], self.matrix[1]
-        best: int | None = None
-        for a in range(q):
-            for b in range(q):
-                point = tuple((a * u + b * w) % q for u, w in zip(v, v1))
-                if not any(point):
-                    continue
-                weight = mannheim_weight(point, q)
-                if best is None or weight < best:
-                    best = weight
-        assert best is not None
-        return best
+        points = (
+            tuple((a * u + b * w) % q for u, w in zip(v, v1)) for a in range(q) for b in range(q)
+        )
+        return min(mannheim_weight(point, q) for point in points if any(point))
 
     # -- packing verification --------------------------------------------
 
@@ -358,12 +355,6 @@ class PerfectLeeCode:
             raise ValueError(f"unknown verification mode: {mode!r}")
         n, q = self.n, self.q
         report = PackingReport(n=n, q=q, mode=mode)
-
-        cover = self.syndrome_residues()
-        report.residue_coverage_ok = cover == list(range(q))
-        if not report.residue_coverage_ok:
-            report.add_violation(f"syndrome residues cover only {cover}")
-
         if mode == "exhaustive":
             cw, slot = np.divmod(np.arange(q**n, dtype=np.int64), q)
             section, rank = np.divmod(cw, self.codewords_per_section)
@@ -377,7 +368,7 @@ class PerfectLeeCode:
             )
             gaps = q**n - np.count_nonzero(first)
             if gaps:
-                report.add_violation(f"{gaps} hypercubes not covered by any sphere")
+                report.add_violations(1, [f"{gaps} hypercubes not covered by any sphere"])
             z = hypercubes_from_lin(np.arange(q**n, dtype=np.int64), q, n)
         else:
             z = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
@@ -389,6 +380,7 @@ class PerfectLeeCode:
             len(broken), (f"tile_assign broken at {tuple(row.tolist())}" for row in broken)
         )
         bulk = zip(section[:1000].tolist(), rank[:1000].tolist(), slot[:1000].tolist())
+        wrong = []
         for row, answer, flagged in zip(z[:1000].tolist(), bulk, bad[:1000].tolist()):
             try:
                 cw, cw_slot = self.tile_assign(row)
@@ -396,7 +388,10 @@ class PerfectLeeCode:
             except ValueError:
                 scalar = None
             if scalar != (None if flagged else answer):
-                report.add_violation(f"scalar tile_assign disagrees with decode at {tuple(row)}")
+                wrong.append(tuple(row))
+        report.add_violations(
+            len(wrong), (f"scalar tile_assign disagrees with decode at {row}" for row in wrong)
+        )
         return report
 
 
@@ -409,14 +404,10 @@ class PackingReport:
     mode: str
     hypercubes_checked: int = 0
     spheres_placed: int = 0
-    residue_coverage_ok: bool = True
     violation_count: int = 0
     violations: list[str] = field(default_factory=list)
 
     _MAX_STORED = 10
-
-    def add_violation(self, message: str) -> None:
-        self.add_violations(1, [message])
 
     def add_violations(self, count: int, messages: Iterable[str]) -> None:
         """Count ``count`` violations; only the stored first few are formatted."""
@@ -425,20 +416,17 @@ class PackingReport:
 
     @property
     def ok(self) -> bool:
-        return self.violation_count == 0 and self.residue_coverage_ok
+        return self.violation_count == 0
 
 
 def generator_matrix(n: int) -> PerfectLeeCode:
     """Build and validate the perfect Lee code for dimension n >= 5."""
     code = PerfectLeeCode(build_generators(n))
-    det = determinant(code.matrix)
-    if abs(det) != code.q:
-        raise AssertionError(f"|det| = {abs(det)} != q = {code.q}")
+    if abs(code.det) != code.q:
+        raise AssertionError(f"|det| = {abs(code.det)} != q = {code.q}")
     bad = code.non_orthogonal_rows()
     if bad:
         raise AssertionError(f"generator {bad[0]} not orthogonal to h mod q")
-    if code.syndrome_residues() != list(range(code.q)):
-        raise AssertionError("syndrome residues do not cover Z_q")
     return code
 
 

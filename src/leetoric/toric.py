@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .lattice import IntVector, hypercube_from_lin, hypercube_lin_index
-from .leecode import PerfectLeeCode, generator_matrix
+from .leecode import generator_matrix
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,7 @@ class ToricParams:
     G: Fraction
 
 
-def code_params(n: int, code: PerfectLeeCode | None = None) -> ToricParams:
+def code_params(n: int) -> ToricParams:
     """Parameters of the toric code built on one Lee-sphere region.
 
     N counts the faces of the radius-1 Lee sphere (alpha faces on each
@@ -38,20 +38,15 @@ def code_params(n: int, code: PerfectLeeCode | None = None) -> ToricParams:
     d is computed by the minimum-Mannheim-distance sphere search rather
     than assumed.
     """
-    if n < 5:
-        raise ValueError(f"unsupported dimension: n must be >= 5, got {n}")
-    if code is None:
-        code = generator_matrix(n)
+    code = generator_matrix(n)
     scan = code.min_mannheim_distance()
     if not scan.exact:
         raise AssertionError("minimum distance exceeded the search radius")
     d = scan.distance
-    q = code.q
-    alpha = code.alpha
-    N = alpha * q
+    N = code.alpha * code.q
     t = (d - 1) // 2
-    R = Fraction(alpha, N)
-    return ToricParams(n=n, q=q, N=N, k=alpha, d=d, t=t, R=R, G=R * (t + 1))
+    R = Fraction(code.alpha, N)
+    return ToricParams(n=n, q=code.q, N=N, k=code.alpha, d=d, t=t, R=R, G=R * (t + 1))
 
 
 def pair_rank(a: int, b: int, n: int) -> int:

@@ -45,7 +45,7 @@ def test_c01_table1_reproduction(codes):
         ok = True
         details = []
         for n, (N, k, d) in TABLE1.items():
-            params = code_params(n, codes[n])
+            params = code_params(n)
             rate_ref, gain_ref = REFERENCE_TORIC[n]
             row_ok = (
                 (params.N, params.k, params.d) == (N, k, d)

@@ -305,6 +305,18 @@ class TestTables:
         _, second, _ = run(capsys, "tables", "--format", "csv")
         assert first == second
 
+    @pytest.mark.parametrize("argv, digest", [
+        ((), "9ec1d23c493a5a0697e39d8a95ce1a35a43d3a34a907e4a1b847202f19c802d3"),
+        (("--format", "csv"), "e23a5e349f9e6f7ecd716974f350cf67b117b4d1f435cf09c339e50d134c6210"),
+        (("--rows", "5,9,12"), "874bc708ea7aea9a978b5df2cd351d93f6d464ea057157b95775ae96cefef9ca"),
+        (("--rows", "5,9,12", "--format", "csv"),
+         "7c4931329508dd4e06a36e94b135ca07005f1de6ff88be0a85f48c51ebdd2073"),
+    ])
+    def test_text_and_csv_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "tables", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
 
 class TestSimulate:
     def test_translate_expect_perfect(self, capsys):

@@ -206,7 +206,7 @@ class TestMakeBurst:
             return out
 
         for seed in range(30):
-            for total, k in ((50, 40), (40, 40), (7, 0), (10**6, 121)):
+            for total, k in ((50, 40), (40, 40), (7, 0), (10**6, 121), (3000, 3000)):
                 got = _sample_distinct(np.random.default_rng(seed), total, k)
                 assert got.tolist() == loop(np.random.default_rng(seed), total, k)
 
