@@ -16,6 +16,7 @@ from .leecode import PerfectLeeCode, generator_matrix
 from .interleave import InterleavingMap
 
 SWEEP_CHUNK = 1 << 20
+SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
 
 @dataclass
@@ -35,11 +36,13 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the full battery of construction checks for dimension n.
 
-    Raises ValueError before any check runs if the mode is unknown or the
-    bulk map checks would overflow int64 (n >= 13).
+    Raises ValueError before any check runs if the mode is unknown, the
+    seed is negative or the bulk map checks would overflow int64 (n >= 13).
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if code is None:
         code = generator_matrix(n)
     map_ = InterleavingMap(code)
@@ -112,22 +115,24 @@ def _check_chain_membership(code, map_, mode, samples, seed):
 
 
 def _check_codeword_bijection(code, map_, mode, samples, seed):
-    q, per_section = code.q, code.codewords_per_section
-    if mode == "exhaustive":
-        pairs = ((j, r) for j in range(q) for r in range(per_section))
-    else:
-        rng = np.random.default_rng(seed)
-        pairs = (
-            (int(rng.integers(0, q)), int(rng.integers(0, per_section)))
-            for _ in range(min(samples, 20000))
-        )
-    # rank_of inverts codeword_from_rank on every pair, so no two pairs share a point
-    count = 0
-    for j, r in pairs:
-        point = code.codeword_from_rank(j, r).point
-        if code.syndrome(point) != 0 or code.rank_of(point) != (j, r):
-            return False, f"rank round-trip failed at (j={j}, r={r}), point {point}"
-        count += 1
+    # decode inverts encode on every pair, so no two pairs share a point; the
+    # scalar codeword_from_rank and rank_of are the oracle on the first 1000.
+    per_section, count = code.codewords_per_section, 0
+    for idx in _indices(code.n_codewords, mode, min(samples, SAMPLE_CAP), seed):
+        j, r = np.divmod(idx, per_section)
+        point = code.encode(j, r, np.zeros_like(idx))
+        section, rank, slot, bad = code.decode(point)
+        # nonzero where the syndrome is, or decode gives another label or bad
+        fail = np.flatnonzero(point @ code._h % code.q | (section != j) | (rank != r) | slot | bad)
+        if len(fail):
+            i = fail[0]
+            return False, (f"rank round-trip failed at (j={j[i]}, r={r[i]}),"
+                           f" point {tuple(point[i].tolist())}")
+        head = slice(max(1000 - count, 0))
+        for jj, rr, pt in zip(j[head].tolist(), r[head].tolist(), point[head].tolist()):
+            if code.codeword_from_rank(jj, rr).point != tuple(pt) or code.rank_of(pt) != (jj, rr):
+                return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"
+        count += len(idx)
     if mode == "exhaustive":
         return True, f"{count} distinct codewords, ranks round-trip"
     return True, f"{count} sampled (section, rank) pairs round-trip"
@@ -155,17 +160,17 @@ def _check_packing(code, map_, mode, samples, seed):
     return False, f"{report.violation_count} violations, first: {report.violations[:3]}"
 
 
-def _logical_indices(map_, mode, k, seed):
-    """The logical indices a map check visits, as int64 arrays.
+def _indices(total, mode, k, seed):
+    """The indices in [0, total) that a check visits, as int64 arrays.
 
-    ``exhaustive``: all of [0, n_faces) in SWEEP_CHUNK pieces;
+    ``exhaustive``: all of them in SWEEP_CHUNK pieces;
     ``sampled``: one array of k seeded-random indices.
     """
     if mode == "exhaustive":
-        for start in range(0, map_.n_faces, SWEEP_CHUNK):
-            yield np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
+        for start in range(0, total, SWEEP_CHUNK):
+            yield np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.int64)
     else:
-        yield np.random.default_rng(seed).integers(0, map_.n_faces, size=k, dtype=np.int64)
+        yield np.random.default_rng(seed).integers(0, total, size=k, dtype=np.int64)
 
 
 def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
@@ -178,9 +183,9 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     total, q, alpha = map_.n_faces, code.q, code.alpha
     section = total // q  # logical indices per section
     # sampled confinement reads a prefix of the round trip's draws
-    k = total if mode == "exhaustive" else min(samples, 20000)
+    k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
     trip = leak = None  # the first failure of each check
-    for idx in _logical_indices(map_, mode, samples, seed):
+    for idx in _indices(total, mode, samples, seed):
         fwd = map_.forward_indices(idx)
         back = map_.inverse_indices(fwd)
         if trip is None:

@@ -184,12 +184,10 @@ def cmd_verify(args, parser) -> int:
         parser.error(f"--samples must be >= 1, got {args.samples}")
     code = None
     if args.corrupt_generator:
+        # the first middle row v_2 gets +1 on its last coordinate
         gens = build_generators(args.n)
-        middle = list(gens.middle)
-        first = list(middle[0])
-        first[-1] += 1
-        middle[0] = tuple(first)
-        code = PerfectLeeCode(replace(gens, middle=tuple(middle)))
+        fault = gens.middle[0][:-1] + (gens.middle[0][-1] + 1,)
+        code = PerfectLeeCode(replace(gens, middle=(fault,) + gens.middle[1:]))
     results = run_verification(args.n, mode, samples=args.samples, seed=args.seed, code=code)
     all_ok = all(r.ok for r in results)
     if args.format == "json":

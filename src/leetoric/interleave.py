@@ -374,13 +374,15 @@ def simulate(
 
     Each trial draws its own RNG from (master_seed, trial index), so the
     aggregate is independent of execution order and safe to partition
-    across workers.  The trials and the input rules are checked before
-    any burst is drawn.  Bursts are tallied in chunks of about
-    CHUNK_FACES faces; the result equals a loop of make_burst and
+    across workers.  The trials, the seed (>= 0) and the input rules are
+    checked before any burst is drawn.  Bursts are tallied in chunks of
+    about CHUNK_FACES faces; the result equals a loop of make_burst and
     deinterleave_and_correct over the same trials.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
+    if master_seed < 0:
+        raise ValueError(f"seed must be >= 0, got {master_seed}")
     _check_burst_rules(map_, model, count)
     successes = max_tally = max_errors = total_errors = total_blocks = 0
     histogram: dict[int, int] = {}

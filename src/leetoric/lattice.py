@@ -41,32 +41,33 @@ def lee_distance(u: Sequence[int], v: Sequence[int], q: int) -> int:
 
 
 def determinant(rows: Sequence[Sequence[int]]) -> int:
-    """Exact determinant of a square integer matrix.
+    """Exact determinant of a square integer matrix; the det of det_adj."""
+    return det_adj(rows)[0]
 
-    Fraction-free (Bareiss) elimination: every division below is exact,
-    so the result is correct for arbitrarily large integer entries.
+
+def det_adj(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[IntVector, ...] | None]:
+    """Exact (det A, adj A) of a square integer matrix; adj is None if A is singular.
+
+    One fraction-free (Bareiss) Gauss-Jordan elimination of [A | I]; every
+    division is exact.  It ends at [d I | d A^-1] with d = +-det A.
     """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("matrix must be square")
-    if n == 0:
-        return 1
-    m = [[int(x) for x in r] for r in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
+    m = [[int(x) for x in r] + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = prev = 1
+    for k in range(n):
         if m[k][k] == 0:
             pivot = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
             if pivot is None:
-                return 0
+                return 0, None
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
+        for i in range(n):
+            if i != k:
+                m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
         prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+    return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)
 
 
 def slot_offset(b: int, n: int) -> IntVector:

@@ -24,6 +24,7 @@ from .lattice import (
     IntVector,
     _check_residues,
     canonical_rep,
+    det_adj,
     determinant,
     hypercube_lin_indices,
     hypercubes_from_lin,
@@ -150,18 +151,11 @@ class PerfectLeeCode:
 
     @functools.cached_property
     def _det_adj(self) -> tuple[int, tuple[IntVector, ...]]:
-        """(det A, cofactor rows of A = columns of adj A); ValueError if singular."""
-        rows = self.matrix
-        if self.det == 0:
+        """(det A, columns of adj A) from one elimination; ValueError if singular."""
+        det, adj = det_adj(self.matrix)
+        if adj is None:
             raise ValueError("generator matrix is singular")
-        cofactors = []
-        for i in range(self.n):
-            others = rows[:i] + rows[i + 1 :]
-            cofactors.append(tuple(
-                (-1) ** (i + j) * determinant([r[:j] + r[j + 1 :] for r in others])
-                for j in range(self.n)
-            ))
-        return self.det, tuple(cofactors)
+        return det, tuple(zip(*adj))
 
     def lattice_membership(self, x: Sequence[int]) -> bool:
         """True iff the integer vector x lies in the lattice of the rows A.
@@ -171,8 +165,8 @@ class PerfectLeeCode:
         """
         if len(x) != self.n:
             raise ValueError(f"expected length {self.n}, got {len(x)}")
-        det, cofactors = self._det_adj
-        return all(sum(a * b for a, b in zip(x, c)) % det == 0 for c in cofactors)
+        det, columns = self._det_adj
+        return all(sum(a * b for a, b in zip(x, c)) % det == 0 for c in columns)
 
     def non_orthogonal_rows(self) -> list[IntVector]:
         """Generator rows with h.row != 0 mod q; empty for a valid code."""
@@ -342,39 +336,28 @@ class PerfectLeeCode:
     ) -> "PackingReport":
         """Certify that the codeword spheres tile Z_q^n exactly once.
 
-        ``exhaustive`` first encodes every (codeword, slot) pair in
-        section, rank, then slot order, reports repeats in that order and
-        counts the gaps.  Both modes then decode hypercubes in bulk and
-        report each row that decode flags ``bad``, in row order:
-        ``exhaustive`` all q^n of them in linear-index order, ``sampled``
-        ``samples`` seeded-random ones.  On the first 1000 rows the scalar
-        tile_assign must give decode's (section, rank, slot), or fail
-        (None) on exactly the rows decode flags ``bad``.
+        Both modes decode hypercubes in bulk and report each row decode
+        flags ``bad``, in row order: ``exhaustive`` all q^n of them in
+        linear-index order, ``sampled`` ``samples`` seeded-random ones.  A
+        row not ``bad`` is encode of its label (section, rank, slot), so
+        with no ``bad`` row z -> label is injective from the q^n hypercubes
+        to the q^n labels, a bijection: the spheres tile.  On the first
+        1000 rows the scalar tile_assign must give decode's label, or fail
+        (None) on exactly the ``bad`` rows.
         """
         if mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown verification mode: {mode!r}")
         n, q = self.n, self.q
         report = PackingReport(n=n, q=q, mode=mode)
         if mode == "exhaustive":
-            cw, slot = np.divmod(np.arange(q**n, dtype=np.int64), q)
-            section, rank = np.divmod(cw, self.codewords_per_section)
-            lin = hypercube_lin_indices(self.encode(section, rank, slot), q)
-            report.spheres_placed = self.n_codewords
-            first = np.zeros(len(lin), dtype=bool)
-            first[np.unique(lin, return_index=True)[1]] = True
-            repeats = lin[~first]
-            report.add_violations(
-                len(repeats), (f"hypercube index {i} covered more than once" for i in repeats)
-            )
-            gaps = q**n - np.count_nonzero(first)
-            if gaps:
-                report.add_violations(1, [f"{gaps} hypercubes not covered by any sphere"])
             z = hypercubes_from_lin(np.arange(q**n, dtype=np.int64), q, n)
         else:
             z = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
-
         report.hypercubes_checked = len(z)
         section, rank, slot, bad = self.decode(z)
+        if mode == "exhaustive":
+            # the sphere centres found: decoded rows on slot 0
+            report.spheres_placed = int(np.count_nonzero((slot == 0) & ~bad))
         broken = z[bad]
         report.add_violations(
             len(broken), (f"tile_assign broken at {tuple(row.tolist())}" for row in broken)

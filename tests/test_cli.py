@@ -83,9 +83,11 @@ class TestVerify:
             pytest.param(
                 ["--n", "5", "--mode", "exhaustive"],
                 [
-                    "FAIL packing: 175693 violations, first: ['hypercube index 140 covered"
-                    " more than once', 'hypercube index 1350 covered more than once',"
-                    " 'hypercube index 148 covered more than once']",
+                    "FAIL packing: 146410 violations, first: ['tile_assign broken at"
+                    " (0, 0, 0, 0, 4)', 'tile_assign broken at (0, 0, 0, 0, 7)',"
+                    " 'tile_assign broken at (0, 0, 0, 1, 1)']",
+                    "FAIL codeword_bijection: rank round-trip failed at (j=0, r=11),"
+                    " point (0, 1, 1, 1, 8)",
                     "FAIL roundtrip: round-trip mismatch at logical index 110",
                     "FAIL section_confinement: physical codeword of LogicalAddress(section=0,"
                     " rank=1, orientation=0, position=0) leaves section 0",
@@ -103,6 +105,8 @@ class TestVerify:
                     "FAIL roundtrip: round-trip mismatch at logical index 58754661",
                     "FAIL section_confinement: physical codeword of LogicalAddress(section=10,"
                     " rank=15695, orientation=14, position=4) leaves section 10",
+                    "FAIL codeword_bijection: rank round-trip failed at (j=10, r=15695),"
+                    " point (10, 11, 12, 6, 10, 9)",
                 ],
                 id="n6-sampled",
             ),
@@ -177,6 +181,55 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         assert checks["roundtrip"]["detail"].startswith("scalar/bulk forward disagree at ")
         assert checks["section_confinement"]["ok"]
+
+    def test_kernel_fault_fails_bijection(self, capsys, monkeypatch):
+        decode = PerfectLeeCode.decode
+
+        def shifted(self, anchor):
+            section, rank, slot, bad = decode(self, anchor)
+            return section, rank + 1, slot, bad
+
+        monkeypatch.setattr(PerfectLeeCode, "decode", shifted)
+        code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["codeword_bijection"]["detail"] == (
+            "rank round-trip failed at (j=0, r=0), point (0, 0, 0, 0, 0)"
+        )
+
+    def test_scalar_fault_fails_bijection(self, capsys, monkeypatch):
+        from_rank = PerfectLeeCode.codeword_from_rank
+
+        def shifted(self, j, r):
+            return from_rank(self, j, (r + 1) % self.codewords_per_section)
+
+        monkeypatch.setattr(PerfectLeeCode, "codeword_from_rank", shifted)
+        code, out, _ = run(
+            capsys, "verify", "--n", "6", "--mode", "sampled", "--samples", "2000",
+            "--format", "json",
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["codeword_bijection"]["detail"].startswith(
+            "scalar codeword_from_rank disagrees with encode at (j="
+        )
+        # decode and encode are intact, so the bulk packing sweep passes
+        assert checks["packing"]["ok"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--n", "5", "--mode", "sampled", "--samples", "1000", "--seed", "-1"],
+            ["verify", "--n", "5", "--seed", "-2"],
+            ["simulate", "--n", "5", "--model", "translate", "--trials", "2", "--seed", "-1"],
+        ],
+        ids=["verify-sampled", "verify-exhaustive", "simulate"],
+    )
+    def test_negative_seed_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"seed must be >= 0, got {argv[-1]}" in capsys.readouterr().err
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_degenerate_samples_rejected(self, capsys, samples):

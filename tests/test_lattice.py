@@ -1,10 +1,13 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from leetoric.lattice import (
     canonical_rep,
+    det_adj,
     determinant,
     hypercube_from_lin,
     hypercube_lin_indices,
@@ -14,6 +17,7 @@ from leetoric.lattice import (
     mannheim_weight,
     slot_offset,
 )
+from leetoric.leecode import build_generators
 
 
 def cofactor_det(m):
@@ -21,10 +25,39 @@ def cofactor_det(m):
     size = len(m)
     if size == 1:
         return m[0][0]
+    # zero entries are skipped, so sparse generator matrices expand quickly
     return sum(
         (-1) ** j * m[0][j] * cofactor_det([row[:j] + row[j + 1 :] for row in m[1:]])
         for j in range(size)
+        if m[0][j]
     )
+
+
+def cofactor_adj(m):
+    """Independent oracle: adj A as the transposed matrix of cofactors."""
+    size = len(m)
+    if size == 1:
+        return ((1,),)
+    return tuple(
+        tuple(
+            (-1) ** (i + j)
+            * cofactor_det([row[:i] + row[i + 1 :] for k, row in enumerate(m) if k != j])
+            for j in range(size)
+        )
+        for i in range(size)
+    )
+
+
+def fault_rows():
+    """The generator faults the verify tests inject, at n = 5."""
+    gens = build_generators(5)
+    middle = gens.middle[0][:-1] + (gens.middle[0][-1] + 1,)
+    return {
+        "middle-plus-one": replace(gens, middle=(middle,) + gens.middle[1:]).rows(),
+        "doubled-v": replace(gens, v=tuple(2 * a for a in gens.v)).rows(),
+        "v1-fault": replace(gens, v1=(0, 0, 0, 1, 1)).rows(),
+        "singular": replace(gens, v1=gens.v).rows(),
+    }
 
 
 class TestCanonicalRep:
@@ -122,6 +155,55 @@ class TestDeterminant:
         rnd = random.Random(7)
         m = [[rnd.randint(-(10**9), 10**9) for _ in range(4)] for _ in range(4)]
         assert determinant(m) == cofactor_det(m)
+
+
+def check_det_adj(m):
+    det, adj = det_adj(m)
+    assert det == cofactor_det(m) == determinant(m)
+    if det == 0:
+        assert adj is None
+        return
+    assert adj == cofactor_adj(m)
+    size = len(m)
+    for i in range(size):
+        for j in range(size):
+            assert sum(m[i][k] * adj[k][j] for k in range(size)) == det * (i == j)
+
+
+class TestDetAdj:
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 7).flatmap(
+        lambda size: st.lists(
+            st.lists(st.integers(-4, 4), min_size=size, max_size=size),
+            min_size=size, max_size=size,
+        )
+    ))
+    def test_against_laplace_oracle(self, m):
+        check_det_adj(m)
+
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_generator_sets(self, n):
+        rows = build_generators(n).rows()
+        check_det_adj(rows)
+        assert abs(det_adj(rows)[0]) == 2 * n + 1
+
+    @pytest.mark.parametrize("fault, det", [
+        ("middle-plus-one", -11), ("doubled-v", -22), ("v1-fault", -7), ("singular", 0),
+    ])
+    def test_generator_faults(self, fault, det):
+        rows = fault_rows()[fault]
+        check_det_adj(rows)
+        assert det_adj(rows)[0] == det
+
+    def test_singular_and_empty(self):
+        assert det_adj([[1, 2], [2, 4]]) == (0, None)
+        assert det_adj([[0, 0], [0, 0]]) == (0, None)
+        assert det_adj([]) == (1, ())
+        assert determinant([]) == 1
+
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError):
+            det_adj([[1, 2, 3], [4, 5, 6]])
 
 
 class TestSlotOffset:
