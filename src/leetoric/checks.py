@@ -12,8 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .leecode import PerfectLeeCode, generator_matrix
 from .interleave import InterleavingMap
+from .lattice import hypercube_lin_indices, hypercubes_from_lin
+from .leecode import PerfectLeeCode, generator_matrix
 
 SWEEP_CHUNK = 1 << 20
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
@@ -36,11 +37,16 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the full battery of construction checks for dimension n.
 
-    Raises ValueError before any check runs if the mode is unknown, the
-    seed is negative or the bulk map checks would overflow int64 (n >= 13).
+    Raises ValueError before any check runs if the mode is unknown,
+    exhaustive at n != 5, samples < 1, the seed is negative or the bulk
+    map checks would overflow int64 (n >= 13).
     """
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
+    if mode == "exhaustive" and n != 5:
+        raise ValueError("exhaustive verification is only supported for n = 5; use --mode sampled")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
     if code is None:
@@ -115,21 +121,22 @@ def _check_chain_membership(code, map_, mode, samples, seed):
 
 
 def _check_codeword_bijection(code, map_, mode, samples, seed):
-    # decode inverts encode on every pair, so no two pairs share a point; the
-    # scalar codeword_from_rank and rank_of are the oracle on the first 1000.
-    per_section, count = code.codewords_per_section, 0
+    # decode inverts encode on every index's digits, so no two share a point;
+    # the scalar codeword_from_rank and rank_of are the oracle on the first 1000.
+    q, count = code.q, 0
     for idx in _indices(code.n_codewords, mode, min(samples, SAMPLE_CAP), seed):
-        j, r = np.divmod(idx, per_section)
-        point = code.encode(j, r, np.zeros_like(idx))
-        section, rank, slot, bad = code.decode(point)
+        point = code.encode(hypercubes_from_lin(idx, q, code.n - 1), np.zeros_like(idx))
+        digits, slot, bad = code.decode(point)
+        back = hypercube_lin_indices(np.column_stack(digits), q)
         # nonzero where the syndrome is, or decode gives another label or bad
-        fail = np.flatnonzero(point @ code._h % code.q | (section != j) | (rank != r) | slot | bad)
+        fail = np.flatnonzero(point @ code._h % q | (back != idx) | slot | bad)
         if len(fail):
-            i = fail[0]
-            return False, (f"rank round-trip failed at (j={j[i]}, r={r[i]}),"
-                           f" point {tuple(point[i].tolist())}")
-        head = slice(max(1000 - count, 0))
-        for jj, rr, pt in zip(j[head].tolist(), r[head].tolist(), point[head].tolist()):
+            j, r = divmod(int(idx[fail[0]]), code.codewords_per_section)
+            return False, (f"rank round-trip failed at (j={j}, r={r}),"
+                           f" point {tuple(point[fail[0]].tolist())}")
+        head = idx[: max(1000 - count, 0)].tolist()
+        for i, pt in zip(head, point[: len(head)].tolist()):
+            jj, rr = divmod(i, code.codewords_per_section)
             if code.codeword_from_rank(jj, rr).point != tuple(pt) or code.rank_of(pt) != (jj, rr):
                 return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"
         count += len(idx)
@@ -190,9 +197,7 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
         back = map_.inverse_indices(fwd)
         if trip is None:
             miss = np.flatnonzero(back != idx)
-            if fwd.min() < 0 or fwd.max() >= total:
-                trip = "forward index out of range"
-            elif len(miss):
+            if len(miss):
                 trip = f"round-trip mismatch at logical index {idx[miss[0]]}"
         moved = back[:k] // section != idx[:k] // section
         fail = np.flatnonzero(moved | (back[:k] // q % alpha != idx[:k] // q % alpha))

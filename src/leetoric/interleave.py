@@ -157,31 +157,46 @@ class InterleavingMap:
     # -- bulk (vectorized) form --------------------------------------------
 
     def forward_indices(self, logical: np.ndarray) -> np.ndarray:
-        """Vectorized forward_index over an int64 array of logical indices."""
-        self.check_int64()
+        """Vectorized forward_index over an int64 array of logical indices.
+
+        The base-q digits of logical // q // alpha are (section, block,
+        m_{n-2}, ..., m_2); block is the slot and the position p is the
+        host's last digit m_v, so shifting them gives the host's digits.
+        An index outside [0, n_faces) raises forward_index's ValueError.
+        """
         q, alpha = self.q, self.alpha
-        idx, p = np.divmod(np.asarray(logical, dtype=np.int64), q)
-        idx, o = np.divmod(idx, alpha)
-        j, r = np.divmod(idx, self.code.codewords_per_section)
-        block, t = np.divmod(r, self.block_size)
-        anchor = self.code.encode(j, t * q + p, block)
-        return hypercube_lin_indices(anchor, q) * alpha + o
+        logical = self._check_indices(logical, "logical")
+        # o and p are read off logical when needed, not held through encode
+        digits = hypercubes_from_lin(logical // (q * alpha), q, self.n - 1)
+        slot = digits[:, 1].copy()
+        digits[:, 1:-1] = digits[:, 2:]
+        digits[:, -1] = logical % q
+        return hypercube_lin_indices(self.code.encode(digits, slot), q) * alpha + logical // q % alpha
 
     def inverse_indices(self, physical: np.ndarray) -> np.ndarray:
         """Vectorized inverse_index over an int64 array of face indices.
 
-        Total: a face whose hypercube lies on no codeword sphere, which
-        only a corrupted code has, maps to -1.
+        An index outside [0, n_faces) raises inverse_index's ValueError.
+        Total on that range: a face whose hypercube lies on no codeword
+        sphere, which only a corrupted code has, maps to -1.
         """
-        self.check_int64()
         q, alpha = self.q, self.alpha
-        lin, o = np.divmod(np.asarray(physical, dtype=np.int64), alpha)
-        j, rank, slot, bad = self.code.decode(hypercubes_from_lin(lin, q, self.n))
-        t, p = np.divmod(rank, q)
-        r = slot * self.block_size + t
-        logical = ((j * self.code.codewords_per_section + r) * alpha + o) * q + p
+        physical = self._check_indices(physical, "face")
+        anchor = hypercubes_from_lin(physical // alpha, q, self.n)
+        (section, *middle, p), slot, bad = self.code.decode(anchor)
+        idx = hypercube_lin_indices(np.column_stack([section, slot, *middle]), q)
+        logical = (idx * alpha + physical % alpha) * q + p
         logical[bad] = -1
         return logical
+
+    def _check_indices(self, idx: np.ndarray, kind: str) -> np.ndarray:
+        """idx as int64; ValueError unless every entry is in [0, n_faces)."""
+        self.check_int64()
+        idx = np.asarray(idx, dtype=np.int64)
+        out = np.flatnonzero((idx < 0) | (idx >= self.n_faces))
+        if len(out):
+            raise ValueError(f"{kind} index {idx[out[0]]} out of range [0, {self.n_faces})")
+        return idx
 
     def _check_address(self, addr: LogicalAddress) -> None:
         # codeword_from_rank checks the section and pair_from_rank the orientation
@@ -290,8 +305,8 @@ def _draw_burst(
         orientations = np.concatenate(orientations)
         sections = np.arange(q, dtype=np.int64)
         if model == "aligned":
-            ranks = np.array(heads, dtype=np.int64)
-            centers = code.encode(sections, ranks, np.zeros_like(sections))
+            ranks = hypercubes_from_lin(np.array(heads, dtype=np.int64), q, n - 2)
+            centers = code.encode(np.column_stack([sections, ranks]), np.zeros_like(sections))
         else:
             centers = np.column_stack([sections, heads])
     anchors = (centers[:, None, :] + code._offsets).reshape(-1, n) % q
@@ -384,7 +399,7 @@ def simulate(
     if master_seed < 0:
         raise ValueError(f"seed must be >= 0, got {master_seed}")
     _check_burst_rules(map_, model, count)
-    successes = max_tally = max_errors = total_errors = total_blocks = 0
+    successes = max_errors = 0
     histogram: dict[int, int] = {}
     bursts: list[np.ndarray] = []
     faces = 0
@@ -395,14 +410,12 @@ def simulate(
             continue
         worst, tallies = _tally(map_.code, bursts)
         successes += int(np.count_nonzero(worst <= 1))
-        max_tally = max(max_tally, int(worst.max()))
         max_errors = max(max_errors, max(map(len, bursts)))
-        total_errors += faces
-        total_blocks += len(tallies)
         for tally, blocks in enumerate(np.bincount(tallies).tolist()):
             if blocks:
                 histogram[tally] = histogram.get(tally, 0) + blocks
         bursts, faces = [], 0
+    blocks = sum(histogram.values())
     return SimulationStats(
         n=map_.n,
         q=map_.q,
@@ -414,8 +427,8 @@ def simulate(
         successes=successes,
         failures=trials - successes,
         success_rate=successes / trials,
-        max_tally=max_tally,
-        mean_tally=total_errors / total_blocks if total_blocks else 0.0,
+        max_tally=max(histogram, default=0),
+        mean_tally=sum(t * b for t, b in histogram.items()) / blocks if blocks else 0.0,
         tally_histogram=histogram,
     )
 
@@ -424,18 +437,18 @@ def _tally(code: PerfectLeeCode, bursts: list[np.ndarray]) -> tuple[np.ndarray, 
     """(worst tally per burst, every nonzero tally) of a chunk of bursts.
 
     A face's logical codeword is (section, rank) with rank = slot *
-    q^(n-3) + the middle digits read in base q, so it is keyed on
-    (burst, section, slot, middle digits): small ints, with no combined
-    key to overflow at large n.  A face on no codeword sphere, which
-    only a corrupted code has, raises ValueError.
+    q^(n-3) + its host's digits m_{n-2}, ..., m_2 read in base q, so it is
+    keyed on (burst, slot, host digits but m_v): small ints, with no
+    combined key to overflow at large n.  A face on no codeword sphere,
+    which only a corrupted code has, raises ValueError.
     """
     anchors = np.concatenate(bursts)
-    (section, *middle, _), slot, bad = code.decode_digits(anchors)
+    digits, slot, bad = code.decode(anchors)
     if bad.any():
         raise ValueError(f"face anchor {tuple(anchors[bad][0].tolist())} is on no codeword sphere")
     owner = np.repeat(np.arange(len(bursts)), [len(b) for b in bursts])
     # lexsort sorts on the last row first, and far faster on narrow ints
-    keys = np.stack(middle + [slot, section, owner])
+    keys = np.stack(digits[:-1] + [slot, owner])
     keys = keys.astype(np.min_scalar_type(max(code.q, len(bursts))))
     keys = keys[:, np.lexsort(keys)]
     first = np.ones(keys.shape[1], dtype=bool)

@@ -26,6 +26,8 @@ from .lattice import (
     canonical_rep,
     det_adj,
     determinant,
+    hypercube_from_lin,
+    hypercube_lin_index,
     hypercube_lin_indices,
     hypercubes_from_lin,
     mannheim_weight,
@@ -123,13 +125,18 @@ class PerfectLeeCode:
         # Scalar callers read the tuples, the bulk kernel the array.
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
         self._offsets = np.array(self.offsets, dtype=np.int64)
-        self._rows = np.array(self.matrix, dtype=np.int64)
         self._h = np.array(self.h, dtype=np.int64)
         # The one syndrome -> slot table, read by tile_assign and decode: it
         # inverts the offsets' syndromes, a permutation of Z_q since h covers it.
         self._slot_of = np.argsort(self._offsets @ self._h % q)
-        # encode's digit basis: the rows v_{n-1}, v_{n-2}, ..., v_2, v
-        self._digit_rows = self._rows[[n - 1, *range(n - 2, 1, -1), 0]]
+        # A codeword is its digits (section, m_{n-2}, ..., m_2, m_v), the
+        # big-endian base-q digits of section * q^(n-2) + rank, times these
+        # rows v_{n-1}, v_{n-2}, ..., v_2, v.  The peel schedule undoes the
+        # product: each (coordinate, digit) reads that digit off the
+        # coordinate, then subtracts the digit's row, in this order.
+        self.digit_rows = tuple(self.matrix[i] for i in [n - 1, *range(n - 2, 1, -1), 0])
+        self._digit_rows = np.array(self.digit_rows, dtype=np.int64)
+        self.peel = ((0, 0), *((k - 1, n - 1 - k) for k in range(2, n - 1)), (n - 2, n - 2))
 
     def __repr__(self) -> str:
         return f"PerfectLeeCode(n={self.n}, q={self.q})"
@@ -203,102 +210,68 @@ class PerfectLeeCode:
     # -- enumeration ---------------------------------------------------
 
     def codeword_from_rank(self, j: int, r: int) -> Codeword:
-        """Codeword number r of cross-section j.
+        """Codeword number r of cross-section j: its digits times the digit rows.
 
-        r is read in base q as digits (m_v, m_2, ..., m_{n-2}), least
-        significant first; the point is j*v_{n-1} + m_v*v + sum m_k v_k
-        reduced mod q.  The v-digit varies fastest, so consecutive ranks
-        walk along the in-section generation order.
+        The digits are j followed by the n-2 base-q digits of r, most
+        significant first, so consecutive ranks walk the v-digit m_v.
         """
         q, n = self.q, self.n
         if not 0 <= j < q:
             raise ValueError(f"section {j} out of range [0, {q})")
         if not 0 <= r < self.codewords_per_section:
             raise ValueError(f"rank {r} out of range [0, {self.codewords_per_section})")
-        rows = self.matrix
-        rr, m_v = divmod(r, q)
-        point = [j * last + m_v * a for a, last in zip(rows[0], rows[-1])]
-        for k in range(2, n - 1):
-            rr, m_k = divmod(rr, q)
-            if m_k:
-                row = rows[k]
-                for a_idx in range(n):
-                    point[a_idx] += m_k * row[a_idx]
-        return Codeword(tuple(p % q for p in point), j, r)
+        digits = (j,) + hypercube_from_lin(r, q, n - 2)
+        point = (sum(m * a for m, a in zip(digits, col)) % q for col in zip(*self.digit_rows))
+        return Codeword(tuple(point), j, r)
 
     def rank_of(self, point: Sequence[int]) -> tuple[int, int]:
         """Inverse of codeword_from_rank; raises if point is not a codeword.
 
-        Peels the triangular generator structure: coordinate 1 fixes the
-        section, coordinates 2..n-2 fix the middle digits one by one,
-        coordinate n-1 fixes the v-digit, and the last coordinate must
-        then vanish.
+        Runs the peel schedule: each step reads one digit off its
+        coordinate and subtracts that digit's row; the point is a
+        codeword iff nothing is left.
         """
-        q, n = self.q, self.n
+        q = self.q
         _check_residues(point, q)
-        rows = self.matrix
-        j = point[0]
-        x = [(a - j * b) % q for a, b in zip(point, rows[-1])]
-        digits = []
-        for k in range(2, n - 1):
-            m_k = x[k - 1]
-            digits.append(m_k)
-            if m_k:
-                row = rows[k]
-                x = [(a - m_k * b) % q for a, b in zip(x, row)]
-        m_v = x[n - 2]
-        x = [(a - m_v * b) % q for a, b in zip(x, rows[0])]
+        x, digits = list(point), [0] * (self.n - 1)
+        for col, d in self.peel:
+            m = digits[d] = x[col]
+            if m:
+                x = [(a - m * b) % q for a, b in zip(x, self.digit_rows[d])]
         if any(x):
             raise ValueError(f"{tuple(point)} is not a codeword")
-        r = 0
-        for m_k in reversed(digits):
-            r = r * q + m_k
-        r = r * q + m_v
-        return j, r
+        return digits[0], hypercube_lin_index(digits[1:], q)
 
     # -- bulk kernel (int64 arrays, one vector per row) -------------------
 
-    def encode(self, section: np.ndarray, rank: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """(m, n) anchors: codeword_from_rank(section, rank) + slot offset.
+    def encode(self, digits: np.ndarray, slot: np.ndarray) -> np.ndarray:
+        """(m, n) anchors: the (m, n-1) digits times the digit rows, plus the slot offset.
 
-        Inputs are 1-D int64 arrays of equal length, not range-checked.
-        The point is one product: the digit vector (section, m_{n-2}, ...,
-        m_2, m_v) times the rows (v_{n-1}, v_{n-2}, ..., v_2, v).
+        Row i is codeword_from_rank(j, r) + offsets[slot[i]] where digits[i]
+        is hypercube_from_lin(j * q^(n-2) + r, q, n-1); not range-checked.
         """
-        point = (
-            np.column_stack([section, hypercubes_from_lin(rank, self.q, self.n - 2)])
-            @ self._digit_rows
-        )
+        point = digits @ self._digit_rows
         point += self._offsets[slot]
         point %= self.q
         return point
 
-    def decode(self, anchor: np.ndarray) -> tuple[np.ndarray, ...]:
-        """Split (m, n) residue anchors into (section, rank, slot, bad).
+    def decode(self, anchor: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Split (m, n) residue anchors into (digits, slot, bad).
 
         The bulk tile_assign: the syndrome picks the slot, and the point
-        left after removing its offset is peeled as in rank_of.  ``bad``
-        flags rows whose point is not on the generator lattice; their
-        section and rank are meaningless.
+        left after removing its offset runs the peel schedule.  ``digits``
+        holds the n-1 digit columns in encode's order, each below q, so
+        nothing overflows at any n.  ``bad`` flags rows whose point is not
+        on the generator lattice; their digits are meaningless.
         """
-        (section, *middle, m_v), slot, bad = self.decode_digits(anchor)
-        rank = hypercube_lin_indices(np.column_stack(middle[::-1] + [m_v]), self.q)
-        return section, rank, slot, bad
-
-    def decode_digits(self, anchor: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """decode before the rank is composed: (digits, slot, bad).
-
-        ``digits`` is [section, m_2, ..., m_{n-2}, m_v], one int64 array
-        per digit, each below q, so nothing overflows at any n.
-        """
-        q, n, rows = self.q, self.n, self._rows
+        q = self.q
         slot = self._slot_of[(anchor @ self._h) % q]
         x = anchor - self._offsets[slot]
         x %= q
-        digits = []
-        for col, row in [(0, n - 1)] + [(k - 1, k) for k in range(2, n - 1)] + [(n - 2, 0)]:
-            digits.append(x[:, col].copy())
-            x -= digits[-1][:, None] * rows[row]
+        digits = [None] * (self.n - 1)
+        for col, d in self.peel:
+            digits[d] = x[:, col].copy()
+            x -= digits[d][:, None] * self._digit_rows[d]
             x %= q
         return digits, slot, x.any(axis=1)
 
@@ -339,11 +312,11 @@ class PerfectLeeCode:
         Both modes decode hypercubes in bulk and report each row decode
         flags ``bad``, in row order: ``exhaustive`` all q^n of them in
         linear-index order, ``sampled`` ``samples`` seeded-random ones.  A
-        row not ``bad`` is encode of its label (section, rank, slot), so
-        with no ``bad`` row z -> label is injective from the q^n hypercubes
-        to the q^n labels, a bijection: the spheres tile.  On the first
-        1000 rows the scalar tile_assign must give decode's label, or fail
-        (None) on exactly the ``bad`` rows.
+        row not ``bad`` is encode of its label (digits, slot), so with no
+        ``bad`` row z -> label is injective from the q^n hypercubes to the
+        q^n labels, a bijection: the spheres tile.  On the first 1000 rows
+        the scalar tile_assign must give decode's label as (section, rank,
+        slot), or fail (None) on exactly the ``bad`` rows.
         """
         if mode not in ("exhaustive", "sampled"):
             raise ValueError(f"unknown verification mode: {mode!r}")
@@ -354,7 +327,7 @@ class PerfectLeeCode:
         else:
             z = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
         report.hypercubes_checked = len(z)
-        section, rank, slot, bad = self.decode(z)
+        digits, slot, bad = self.decode(z)
         if mode == "exhaustive":
             # the sphere centres found: decoded rows on slot 0
             report.spheres_placed = int(np.count_nonzero((slot == 0) & ~bad))
@@ -362,7 +335,9 @@ class PerfectLeeCode:
         report.add_violations(
             len(broken), (f"tile_assign broken at {tuple(row.tolist())}" for row in broken)
         )
-        bulk = zip(section[:1000].tolist(), rank[:1000].tolist(), slot[:1000].tolist())
+        head = np.column_stack([d[:1000] for d in digits])
+        rank = hypercube_lin_indices(head[:, 1:], q)
+        bulk = zip(head[:, 0].tolist(), rank.tolist(), slot[:1000].tolist())
         wrong = []
         for row, answer, flagged in zip(z[:1000].tolist(), bulk, bad[:1000].tolist()):
             try:

@@ -5,7 +5,7 @@ import pytest
 
 from leetoric.checks import _check_chain_membership, run_verification
 from leetoric.lattice import determinant
-from leetoric.leecode import PerfectLeeCode, build_generators, weight_w_vectors
+from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix, weight_w_vectors
 
 
 def in_lattice(rows, x):
@@ -80,6 +80,51 @@ class TestRunVerification:
     def test_rejects_int64_overflow_before_the_battery(self):
         with pytest.raises(ValueError, match=r"int64 limit 2\^63 - 1"):
             run_verification(13, "sampled", samples=1000)
+
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_rejects_samples_below_one(self, mode, samples):
+        with pytest.raises(ValueError) as exc:
+            run_verification(5, mode, samples=samples)
+        assert str(exc.value) == f"samples must be >= 1, got {samples}"
+
+    @pytest.mark.parametrize("n", [6, 7, 13])
+    def test_rejects_exhaustive_above_n5(self, n):
+        # at n = 7 the packing sweep alone would build a 15^7-row array
+        with pytest.raises(ValueError) as exc:
+            run_verification(n, "exhaustive")
+        assert str(exc.value) == (
+            "exhaustive verification is only supported for n = 5; use --mode sampled"
+        )
+
+
+class TestFaultsFailTheirCheck:
+    def test_doubled_v_fails_determinant(self):
+        gens = build_generators(5)
+        code = PerfectLeeCode(replace(gens, v=tuple(2 * a for a in gens.v)))
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
+        assert not rows["determinant"].ok
+        assert rows["determinant"].detail == "det A = -22, expected |det| = q = 11"
+
+    def test_v1_fault_fails_section_distance(self):
+        gens = build_generators(5)
+        code = PerfectLeeCode(replace(gens, v1=(0, 0, 0, 1, 1)))
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
+        assert not rows["section_distance"].ok
+        assert rows["section_distance"].detail == "cross-section subcode distance 1, expected 4"
+
+    def test_swapped_peel_schedule_fails_the_kernel_checks(self):
+        # decode and rank_of share the schedule, so scalar and bulk agree on
+        # the wrong digits; only the certificates can see the fault
+        code = generator_matrix(6)
+        peel = list(code.peel)
+        peel[1], peel[2] = peel[2], peel[1]
+        code.peel = tuple(peel)
+        rows = {r.name: r for r in run_verification(6, "sampled", samples=2000, code=code)}
+        for name in ("codeword_bijection", "packing", "roundtrip", "section_confinement"):
+            assert not rows[name].ok, name
+        for name in ("determinant", "orthogonality", "residue_coverage", "min_distance"):
+            assert rows[name].ok, name
 
 
 

@@ -153,6 +153,23 @@ class TestVerify:
         assert not checks["section_confinement"]["ok"]
         assert "leaves section" in checks["section_confinement"]["detail"]
 
+    def test_out_of_range_forward_aborts_roundtrip_and_confinement(self, capsys, monkeypatch):
+        forward = InterleavingMap.forward_indices
+        # off the end by n_faces: an inverse that wrapped would land on the same address
+        monkeypatch.setattr(
+            InterleavingMap, "forward_indices", lambda self, i: forward(self, i) + self.n_faces
+        )
+        code, out, _ = run(
+            capsys, "verify", "--n", "5", "--mode", "sampled", "--samples", "2000",
+            "--format", "json",
+        )
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        for name in ("roundtrip", "section_confinement"):
+            assert not checks[name]["ok"]
+            assert checks[name]["detail"].startswith("check aborted: face index ")
+            assert checks[name]["detail"].endswith(" out of range [0, 1610510)")
+
     def test_orientation_fault_fails_confinement(self, capsys, monkeypatch):
         forward = InterleavingMap.forward_indices
 
@@ -186,8 +203,9 @@ class TestVerify:
         decode = PerfectLeeCode.decode
 
         def shifted(self, anchor):
-            section, rank, slot, bad = decode(self, anchor)
-            return section, rank + 1, slot, bad
+            # the v-digit m_v one up: rank + 1 wherever m_v < q - 1
+            digits, slot, bad = decode(self, anchor)
+            return digits[:-1] + [digits[-1] + 1], slot, bad
 
         monkeypatch.setattr(PerfectLeeCode, "decode", shifted)
         code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
@@ -236,7 +254,7 @@ class TestVerify:
         with pytest.raises(SystemExit) as exc:
             main(["verify", "--n", "8", "--mode", "sampled", "--samples", samples])
         assert exc.value.code == 2
-        assert "--samples must be >= 1" in capsys.readouterr().err
+        assert f"samples must be >= 1, got {samples}" in capsys.readouterr().err
 
     def test_exhaustive_rejected_above_n5(self, capsys):
         with pytest.raises(SystemExit) as exc:

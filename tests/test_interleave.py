@@ -157,13 +157,35 @@ class TestBulkMap:
                 bulk(np.array([0], dtype=np.int64))
         assert map13.inverse_index(map13.forward_index(map13.n_faces - 1)) == map13.n_faces - 1
 
+    @pytest.mark.parametrize("offset", [-1, 0, 5], ids=["minus-one", "n_faces", "n_faces+5"])
+    def test_bulk_maps_reject_out_of_range_with_the_scalar_message(self, map5, offset):
+        bad = -1 if offset < 0 else map5.n_faces + offset
+        for bulk, scalar, kind in (
+            (map5.forward_indices, map5.forward_index, "logical"),
+            (map5.inverse_indices, map5.inverse_index, "face"),
+        ):
+            message = f"{kind} index {bad} out of range [0, 1610510)"
+            with pytest.raises(ValueError) as exc:
+                scalar(bad)
+            assert str(exc.value) == message
+            with pytest.raises(ValueError) as exc:
+                bulk(np.array([bad], dtype=np.int64))
+            assert str(exc.value) == message
+
+    def test_bulk_maps_name_the_first_bad_element(self, map5):
+        idx = np.array([0, 7, map5.n_faces + 5, -1, map5.n_faces], dtype=np.int64)
+        for bulk, kind in ((map5.forward_indices, "logical"), (map5.inverse_indices, "face")):
+            with pytest.raises(ValueError) as exc:
+                bulk(idx)
+            assert str(exc.value) == f"{kind} index 1610515 out of range [0, 1610510)"
+
     def test_inverse_is_minus_one_exactly_off_the_lattice(self):
         gens = build_generators(5)
         middle = list(gens.middle)
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
         bad_map = InterleavingMap(PerfectLeeCode(replace(gens, middle=tuple(middle))))
         faces = np.random.default_rng(5).integers(0, bad_map.n_faces, size=20000)
-        bad = bad_map.code.decode(hypercubes_from_lin(faces // bad_map.alpha, 11, 5))[3]
+        bad = bad_map.code.decode(hypercubes_from_lin(faces // bad_map.alpha, 11, 5))[2]
         assert bad.any() and not bad.all()
         back = bad_map.inverse_indices(faces)
         assert np.array_equal(back == -1, bad)

@@ -6,7 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leetoric.lattice import determinant, lee_distance, mannheim_weight
+from leetoric.lattice import (
+    determinant,
+    hypercube_lin_indices,
+    hypercubes_from_lin,
+    lee_distance,
+    mannheim_weight,
+)
 from leetoric.leecode import (
     PerfectLeeCode,
     build_generators,
@@ -220,9 +226,10 @@ class TestBulkKernel:
     def test_decode_matches_scalar_tile_assign(self, code5):
         # Every one of the 11^5 hypercubes: the full scalar reference sweep.
         z = np.array(list(itertools.product(range(11), repeat=5)), dtype=np.int64)
-        section, rank, slot, bad = code5.decode(z)
+        digits, slot, bad = code5.decode(z)
         assert not bad.any()
-        bulk = zip(section.tolist(), rank.tolist(), slot.tolist())
+        rank = hypercube_lin_indices(np.column_stack(digits[1:]), 11)
+        bulk = zip(digits[0].tolist(), rank.tolist(), slot.tolist())
         for row, want in zip(z.tolist(), bulk):
             cw, slot = code5.tile_assign(tuple(row))
             assert (cw.section, cw.rank, slot) == want
@@ -234,16 +241,17 @@ class TestBulkKernel:
         section = rng.integers(0, code.q, size=2000, dtype=np.int64)
         rank = rng.integers(0, code.codewords_per_section, size=2000, dtype=np.int64)
         slot = rng.integers(0, code.q, size=2000, dtype=np.int64)
-        anchor = code.encode(section, rank, slot)
+        digits = hypercubes_from_lin(section * code.codewords_per_section + rank, code.q, n - 1)
+        anchor = code.encode(digits, slot)
         for i in range(0, 2000, 97):
             cw = code.codeword_from_rank(int(section[i]), int(rank[i]))
             assert tuple(anchor[i]) == tuple(
                 (c + d) % code.q for c, d in zip(cw.point, code.offsets[slot[i]])
             )
         back = code.decode(anchor)
-        for got, want in zip(back, (section, rank, slot)):
+        for got, want in zip((np.column_stack(back[0]), back[1]), (digits, slot)):
             assert np.array_equal(got, want)
-        assert not back[3].any()
+        assert not back[2].any()
 
     def test_decode_reports_points_off_the_lattice(self):
         gens = build_generators(5)
@@ -252,7 +260,7 @@ class TestBulkKernel:
         bad_code = PerfectLeeCode(replace(gens, middle=tuple(middle)))
         rng = np.random.default_rng(7)
         z = rng.integers(0, 11, size=(500, 5), dtype=np.int64)
-        bad = bad_code.decode(z)[3]
+        bad = bad_code.decode(z)[2]
         assert bad.any() and not bad.all()
         for i in range(500):
             zt = tuple(int(x) for x in z[i])
@@ -279,14 +287,15 @@ class TestBulkKernelProperty:
         # the largest rank and the last slot are always among the cases
         triples += [(q - 1, per_section - 1, q - 1), (0, per_section - 1, 0), (0, 0, q - 1)]
         section, rank, slot = (np.array(c, dtype=np.int64) for c in zip(*triples))
-        anchor = code.encode(section, rank, slot)
+        digits = hypercubes_from_lin(section * per_section + rank, q, n - 1)
+        anchor = code.encode(digits, slot)
         for (j, r, s), row in zip(triples, anchor.tolist()):
             point = code.codeword_from_rank(j, r).point
             assert tuple(row) == tuple((c + d) % q for c, d in zip(point, code.offsets[s]))
         back = code.decode(anchor)
-        for got, want in zip(back, (section, rank, slot)):
+        for got, want in zip((np.column_stack(back[0]), back[1]), (digits, slot)):
             assert np.array_equal(got, want)
-        assert not back[3].any()
+        assert not back[2].any()
         # the one syndrome -> slot table inverts the offsets' syndromes
         assert sorted(code._slot_of.tolist()) == list(range(q))
         for s in range(q):
