@@ -2,7 +2,6 @@
 with a burst-spreading qubit interleaver and Monte Carlo certification.
 """
 
-from .lattice import determinant
 from .leecode import (
     Codeword,
     GeneratorSet,
@@ -12,7 +11,7 @@ from .leecode import (
     build_generators,
     generator_matrix,
 )
-from .toric import FaceIndex, StabilizerCheck2D, ToricParams, code_params, kitaev_2d_stabilizers
+from .toric import StabilizerCheck2D, ToricParams, code_params, kitaev_2d_stabilizers
 from .interleave import (
     BURST_MODELS,
     BurstPattern,
@@ -35,7 +34,6 @@ __all__ = [
     "BurstPattern",
     "CheckResult",
     "Codeword",
-    "FaceIndex",
     "GeneratorSet",
     "InterleavedParams",
     "InterleavingMap",
@@ -49,7 +47,6 @@ __all__ = [
     "build_generators",
     "code_params",
     "deinterleave_and_correct",
-    "determinant",
     "generator_matrix",
     "interleaved_params",
     "kitaev_2d_stabilizers",

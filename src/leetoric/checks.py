@@ -14,7 +14,7 @@ import numpy as np
 
 from .interleave import InterleavingMap
 from .lattice import hypercube_lin_indices, hypercubes_from_lin
-from .leecode import PerfectLeeCode, generator_matrix
+from .leecode import PerfectLeeCode, check_verification_rules, generator_matrix
 
 SWEEP_CHUNK = 1 << 20
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
@@ -41,14 +41,7 @@ def run_verification(
     exhaustive at n != 5, samples < 1, the seed is negative or the bulk
     map checks would overflow int64 (n >= 13).
     """
-    if mode not in ("exhaustive", "sampled"):
-        raise ValueError(f"unknown verification mode: {mode!r}")
-    if mode == "exhaustive" and n != 5:
-        raise ValueError("exhaustive verification is only supported for n = 5; use --mode sampled")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    check_verification_rules(n, mode, samples, seed)
     if code is None:
         code = generator_matrix(n)
     map_ = InterleavingMap(code)

@@ -18,9 +18,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import IntVector, hypercube_lin_indices, hypercubes_from_lin
+from .lattice import IntVector, hypercube_lin_index, hypercube_lin_indices, hypercubes_from_lin
 from .leecode import PerfectLeeCode
-from .toric import FaceIndex, face_from_lin, face_lin_index, pair_from_rank
+from .toric import face_from_lin
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
 INT64_MAX = np.iinfo(np.int64).max
@@ -71,7 +71,7 @@ def interleaved_params(n: int) -> InterleavedParams:
 
 
 class InterleavingMap:
-    """Functional bijection between logical addresses and faces.
+    """Functional bijection between logical indices and face indices.
 
     Nothing is materialized: both directions cost O(n) arithmetic per
     query, so the map is usable at dimensions where the full table
@@ -99,44 +99,10 @@ class InterleavingMap:
                 f" limit 2^63 - 1 of the bulk index arithmetic (n <= 12)"
             )
 
-    # -- scalar map ------------------------------------------------------
-
-    def logical_to_physical(self, addr: LogicalAddress) -> FaceIndex:
-        """Physical face of a logical address.
-
-        Super-block B = rank // q^{n-3} picks the sphere slot; the
-        within-block rank t and position p pick the host codeword
-        t*q + p of the same section; orientation rides along unchanged.
-        """
-        q = self.q
-        self._check_address(addr)
-        block, t = divmod(addr.rank, self.block_size)
-        host = self.code.codeword_from_rank(addr.section, t * q + addr.position)
-        anchor = tuple((c + d) % q for c, d in zip(host.point, self.code.offsets[block]))
-        return FaceIndex(anchor, pair_from_rank(addr.orientation, self.n))
-
-    def physical_to_logical(self, face: FaceIndex) -> LogicalAddress:
-        """Exact inverse of logical_to_physical."""
-        host, slot = self.code.tile_assign(face.anchor)
-        t, p = divmod(host.rank, self.q)
-        return LogicalAddress(
-            section=host.section,
-            rank=slot * self.block_size + t,
-            orientation=face.orientation,
-            position=p,
-        )
-
-    # -- linear-index form ------------------------------------------------
-
-    def logical_lin_index(self, addr: LogicalAddress) -> int:
-        """((j * q^{n-2} + r) * alpha + o) * q + p."""
-        per_section = self.code.codewords_per_section
-        return (
-            (addr.section * per_section + addr.rank) * self.alpha
-            + addr.orientation
-        ) * self.q + addr.position
+    # -- scalar map: the exact-int twin of the bulk map ---------------------
 
     def logical_from_lin(self, idx: int) -> LogicalAddress:
+        """Split ((j * q^{n-2} + r) * alpha + o) * q + p into its address."""
         if not 0 <= idx < self.n_faces:
             raise ValueError(f"logical index {idx} out of range [0, {self.n_faces})")
         idx, p = divmod(idx, self.q)
@@ -145,14 +111,29 @@ class InterleavingMap:
         return LogicalAddress(j, r, o, p)
 
     def forward_index(self, idx: int) -> int:
-        """Linear face index of a linear logical index."""
-        return face_lin_index(self.logical_to_physical(self.logical_from_lin(idx)), self.q)
+        """Face index of a logical index.
+
+        Super-block B = rank // q^{n-3} picks the sphere slot, and the host
+        codeword is t*q + p of the same section; orientation rides along.
+        """
+        q = self.q
+        addr = self.logical_from_lin(idx)
+        block, t = divmod(addr.rank, self.block_size)
+        host = self.code.codeword_from_rank(addr.section, t * q + addr.position)
+        anchor = tuple((c + d) % q for c, d in zip(host.point, self.code.offsets[block]))
+        return hypercube_lin_index(anchor, q) * self.alpha + addr.orientation
 
     def inverse_index(self, idx: int) -> int:
-        """Linear logical index of a linear face index."""
-        return self.logical_lin_index(
-            self.physical_to_logical(face_from_lin(idx, self.n, self.q))
-        )
+        """Logical index of a face index; exact inverse of forward_index."""
+        anchor, o = face_from_lin(idx, self.n, self.q)
+        host, slot = self.code.tile_assign(anchor)
+        t, p = divmod(host.rank, self.q)
+        codeword = host.section * self.code.codewords_per_section + slot * self.block_size + t
+        return (codeword * self.alpha + o) * self.q + p
+
+    def physical_to_logical(self, face: int) -> LogicalAddress:
+        """Logical address of a face index."""
+        return self.logical_from_lin(self.inverse_index(face))
 
     # -- bulk (vectorized) form --------------------------------------------
 
@@ -190,30 +171,24 @@ class InterleavingMap:
         return logical
 
     def _check_indices(self, idx: np.ndarray, kind: str) -> np.ndarray:
-        """idx as int64; ValueError unless every entry is in [0, n_faces)."""
+        """idx as int64; ValueError unless every entry is an integer in [0, n_faces)."""
         self.check_int64()
-        idx = np.asarray(idx, dtype=np.int64)
+        idx = np.asarray(idx)
+        if idx.size and not np.issubdtype(idx.dtype, np.integer):
+            raise ValueError(f"{kind} indices must be integers, got dtype {idx.dtype}")
+        idx = idx.astype(np.int64, copy=False)
         out = np.flatnonzero((idx < 0) | (idx >= self.n_faces))
         if len(out):
             raise ValueError(f"{kind} index {idx[out[0]]} out of range [0, {self.n_faces})")
         return idx
 
-    def _check_address(self, addr: LogicalAddress) -> None:
-        # codeword_from_rank checks the section and pair_from_rank the orientation
-        if not 0 <= addr.rank < self.code.codewords_per_section:
-            raise ValueError(
-                f"rank {addr.rank} out of range [0, {self.code.codewords_per_section})"
-            )
-        if not 0 <= addr.position < self.q:
-            raise ValueError(f"position {addr.position} out of range [0, {self.q})")
-
 
 @dataclass(frozen=True)
 class BurstPattern:
-    """A set of errored faces produced by one of the burst models."""
+    """A set of errored faces, as face indices, produced by one of the burst models."""
 
     model: str
-    faces: frozenset[FaceIndex]
+    faces: frozenset[int]
     centers: tuple[IntVector, ...]
 
 
@@ -253,7 +228,7 @@ def make_burst(
         rng = np.random.default_rng(rng)
     anchors, orientations, centers = _draw_burst(map_, model, rng, count)
     faces = frozenset(
-        FaceIndex(tuple(a), pair_from_rank(o, map_.n))
+        hypercube_lin_index(a, map_.q) * map_.alpha + o
         for a, o in zip(anchors.tolist(), orientations.tolist())
     )
     return BurstPattern(model, faces, tuple(map(tuple, centers.tolist())))

@@ -13,7 +13,6 @@ reference; ``encode``/``decode`` are their bulk int64 kernel.
 
 from __future__ import annotations
 
-import functools
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
@@ -25,7 +24,6 @@ from .lattice import (
     _check_residues,
     canonical_rep,
     det_adj,
-    determinant,
     hypercube_from_lin,
     hypercube_lin_index,
     hypercube_lin_indices,
@@ -120,6 +118,10 @@ class PerfectLeeCode:
         self.matrix = generators.rows()
         self.h = check_functional(self.n)
         self.alpha = self.n * (self.n - 1) // 2
+        # det A, |det A| = q for a valid code, and the columns of adj A (None
+        # if A is singular) from one elimination
+        self.det, adj = det_adj(self.matrix)
+        self._adj_columns = None if adj is None else tuple(zip(*adj))
         n, q = self.n, self.q
         # The slot-offset table, built once: row b is slot_offset(b, n).
         # Scalar callers read the tuples, the bulk kernel the array.
@@ -151,18 +153,9 @@ class PerfectLeeCode:
 
     # -- lattice-side operations (integer vectors) --------------------
 
-    @functools.cached_property
-    def det(self) -> int:
-        """det A, computed once; |det A| = q for a valid code."""
-        return determinant(self.matrix)
-
-    @functools.cached_property
-    def _det_adj(self) -> tuple[int, tuple[IntVector, ...]]:
-        """(det A, columns of adj A) from one elimination; ValueError if singular."""
-        det, adj = det_adj(self.matrix)
-        if adj is None:
-            raise ValueError("generator matrix is singular")
-        return det, tuple(zip(*adj))
+    def _check_length(self, x: Sequence[int]) -> None:
+        if len(x) != self.n:
+            raise ValueError(f"expected length {self.n}, got {len(x)}")
 
     def lattice_membership(self, x: Sequence[int]) -> bool:
         """True iff the integer vector x lies in the lattice of the rows A.
@@ -170,10 +163,10 @@ class PerfectLeeCode:
         x = cA is solved by c = x adj(A) / det A, integral iff x.adj(A) = 0
         mod det A.  For a valid code this is the kernel of h mod q.
         """
-        if len(x) != self.n:
-            raise ValueError(f"expected length {self.n}, got {len(x)}")
-        det, columns = self._det_adj
-        return all(sum(a * b for a, b in zip(x, c)) % det == 0 for c in columns)
+        self._check_length(x)
+        if self._adj_columns is None:
+            raise ValueError("generator matrix is singular")
+        return all(sum(a * b for a, b in zip(x, c)) % self.det == 0 for c in self._adj_columns)
 
     def non_orthogonal_rows(self) -> list[IntVector]:
         """Generator rows with h.row != 0 mod q; empty for a valid code."""
@@ -188,6 +181,7 @@ class PerfectLeeCode:
 
     def syndrome(self, x: Sequence[int]) -> int:
         """h.x mod q; zero iff x is a codeword."""
+        self._check_length(x)
         _check_residues(x, self.q)
         return sum(a * b for a, b in zip(self.h, x)) % self.q
 
@@ -232,6 +226,7 @@ class PerfectLeeCode:
         codeword iff nothing is left.
         """
         q = self.q
+        self._check_length(point)
         _check_residues(point, q)
         x, digits = list(point), [0] * (self.n - 1)
         for col, d in self.peel:
@@ -318,8 +313,7 @@ class PerfectLeeCode:
         the scalar tile_assign must give decode's label as (section, rank,
         slot), or fail (None) on exactly the ``bad`` rows.
         """
-        if mode not in ("exhaustive", "sampled"):
-            raise ValueError(f"unknown verification mode: {mode!r}")
+        check_verification_rules(self.n, mode, samples, seed)
         n, q = self.n, self.q
         report = PackingReport(n=n, q=q, mode=mode)
         if mode == "exhaustive":
@@ -375,6 +369,18 @@ class PackingReport:
     @property
     def ok(self) -> bool:
         return self.violation_count == 0
+
+
+def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None:
+    """ValueError unless mode is known, exhaustive only at n = 5, samples >= 1, seed >= 0."""
+    if mode not in ("exhaustive", "sampled"):
+        raise ValueError(f"unknown verification mode: {mode!r}")
+    if mode == "exhaustive" and n != 5:
+        raise ValueError("exhaustive verification is only supported for n = 5; use --mode sampled")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
 
 
 def generator_matrix(n: int) -> PerfectLeeCode:

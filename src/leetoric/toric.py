@@ -4,7 +4,8 @@ Qubits sit on the 2-faces of the hypercubic lattice.  A face is owned by
 the hypercube at its minimal corner, so each hypercube owns exactly
 alpha = n(n-1)/2 faces (one per unordered axis pair) and the lattice has
 alpha * q^n faces in total, even though each face geometrically touches
-2^{n-2} hypercubes.
+2^{n-2} hypercubes.  A face is its linear index, hypercube index * alpha
++ orientation.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .lattice import IntVector, hypercube_from_lin, hypercube_lin_index
+from .lattice import IntVector, hypercube_from_lin
 from .leecode import generator_matrix
 
 
@@ -49,57 +50,16 @@ def code_params(n: int) -> ToricParams:
     return ToricParams(n=n, q=code.q, N=N, k=code.alpha, d=d, t=t, R=R, G=R * (t + 1))
 
 
-def pair_rank(a: int, b: int, n: int) -> int:
-    """Lexicographic rank of the axis pair (a, b), 1 <= a < b <= n."""
-    if not 1 <= a < b <= n:
-        raise ValueError(f"malformed axis pair ({a}, {b}) for dimension {n}")
-    return (a - 1) * n - a * (a - 1) // 2 + (b - a - 1)
+def face_from_lin(idx: int, n: int, q: int) -> tuple[IntVector, int]:
+    """(anchor, orientation) of the face index hypercube_lin_index(anchor) * alpha + o.
 
-
-def pair_from_rank(o: int, n: int) -> tuple[int, int]:
-    """Inverse of pair_rank."""
-    if not 0 <= o < n * (n - 1) // 2:
-        raise ValueError(f"orientation {o} out of range [0, {n * (n - 1) // 2})")
-    a = 1
-    while o >= n - a:
-        o -= n - a
-        a += 1
-    return a, a + 1 + o
-
-
-@dataclass(frozen=True)
-class FaceIndex:
-    """One qubit slot: the owning hypercube plus an unordered axis pair."""
-
-    anchor: IntVector
-    axes: tuple[int, int]
-
-    def __post_init__(self) -> None:
-        a, b = self.axes
-        if not 1 <= a < b <= len(self.anchor):
-            raise ValueError(
-                f"malformed axis pair ({a}, {b}) for dimension {len(self.anchor)}"
-            )
-
-    @property
-    def orientation(self) -> int:
-        return pair_rank(*self.axes, len(self.anchor))
-
-
-def face_lin_index(face: FaceIndex, q: int) -> int:
-    """Linear face index: hypercube index * alpha + orientation."""
-    n = len(face.anchor)
-    alpha = n * (n - 1) // 2
-    return hypercube_lin_index(face.anchor, q) * alpha + face.orientation
-
-
-def face_from_lin(idx: int, n: int, q: int) -> FaceIndex:
-    """Inverse of face_lin_index."""
+    Orientation o numbers the axis pairs a < b in lexicographic order.
+    """
     alpha = n * (n - 1) // 2
     if not 0 <= idx < alpha * q**n:
         raise ValueError(f"face index {idx} out of range [0, {alpha * q**n})")
     lin, o = divmod(idx, alpha)
-    return FaceIndex(hypercube_from_lin(lin, q, n), pair_from_rank(o, n))
+    return hypercube_from_lin(lin, q, n), o
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,18 @@ from leetoric.interleave import (
 )
 from leetoric.lattice import hypercubes_from_lin, lee_distance
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
-from leetoric.toric import FaceIndex
+from leetoric.toric import face_from_lin
+
+
+def logical_index(map_, section, rank, orientation, position):
+    """The logical index of an address, composed as the map's layout documents."""
+    return (
+        (section * map_.code.codewords_per_section + rank) * map_.alpha + orientation
+    ) * map_.q + position
+
+
+def anchors(burst):
+    return [face_from_lin(f, 5, 11)[0] for f in burst.faces]
 
 
 class TestInterleavedParams:
@@ -50,55 +61,41 @@ class TestInterleavedParams:
 
 class TestScalarMap:
     def test_zero_address(self, map5):
-        face = map5.logical_to_physical(LogicalAddress(0, 0, 0, 0))
-        assert face.anchor == (0,) * 5
-        assert face.orientation == 0
+        assert face_from_lin(map5.forward_index(0), 5, 11) == ((0,) * 5, 0)
 
     def test_position_walks_codewords(self, map5):
-        face = map5.logical_to_physical(LogicalAddress(0, 0, 0, 1))
-        assert face.anchor == (0, 0, 0, 1, 8)
-        assert face.orientation == 0
+        face = map5.forward_index(logical_index(map5, 0, 0, 0, 1))
+        assert face_from_lin(face, 5, 11) == ((0, 0, 0, 1, 8), 0)
 
     def test_superblock_changes_slot(self, map5):
-        face = map5.logical_to_physical(LogicalAddress(0, 121, 3, 0))
-        assert face.anchor == (1, 0, 0, 0, 0)
-        assert face.orientation == 3
+        face = map5.forward_index(logical_index(map5, 0, 121, 3, 0))
+        assert face_from_lin(face, 5, 11) == ((1, 0, 0, 0, 0), 3)
 
     def test_inverse_of_superblock_example(self, map5):
-        addr = map5.physical_to_logical(FaceIndex((1, 0, 0, 0, 0), (1, 5)))
+        addr = map5.physical_to_logical(11**4 * 10 + 3)  # anchor (1, 0, 0, 0, 0), o = 3
         assert addr == LogicalAddress(0, 121, 3, 0)
-
-    def test_address_validation(self, map5):
-        for bad in [
-            LogicalAddress(11, 0, 0, 0),
-            LogicalAddress(0, 11**3, 0, 0),
-            LogicalAddress(0, 0, 10, 0),
-            LogicalAddress(0, 0, 0, 11),
-        ]:
-            with pytest.raises(ValueError):
-                map5.logical_to_physical(bad)
 
     def test_roundtrip_sampled(self, map5):
         rnd = random.Random(12)
         for _ in range(2000):
-            addr = map5.logical_from_lin(rnd.randrange(map5.n_faces))
-            face = map5.logical_to_physical(addr)
-            assert map5.physical_to_logical(face) == addr
+            idx = rnd.randrange(map5.n_faces)
+            face = map5.forward_index(idx)
+            assert map5.inverse_index(face) == idx
+            assert map5.physical_to_logical(face) == map5.logical_from_lin(idx)
 
     def test_orientation_transparent(self, map5):
         rnd = random.Random(13)
         for _ in range(500):
-            addr = map5.logical_from_lin(rnd.randrange(map5.n_faces))
-            face = map5.logical_to_physical(addr)
-            assert face.orientation == addr.orientation
+            idx = rnd.randrange(map5.n_faces)
+            assert map5.forward_index(idx) % map5.alpha == map5.logical_from_lin(idx).orientation
 
     def test_section_confinement(self, map5, code5):
         rnd = random.Random(14)
         for _ in range(500):
-            addr = map5.logical_from_lin(rnd.randrange(map5.n_faces))
-            face = map5.logical_to_physical(addr)
-            host = code5.tile_assign(face.anchor)[0]
-            assert host.section == addr.section
+            idx = rnd.randrange(map5.n_faces)
+            anchor, _ = face_from_lin(map5.forward_index(idx), 5, 11)
+            host = code5.tile_assign(anchor)[0]
+            assert host.section == map5.logical_from_lin(idx).section
 
 
 class TestLinearIndexForms:
@@ -107,7 +104,8 @@ class TestLinearIndexForms:
         for _ in range(1000):
             idx = rnd.randrange(map5.n_faces)
             addr = map5.logical_from_lin(idx)
-            assert map5.logical_lin_index(addr) == idx
+            assert logical_index(map5, addr.section, addr.rank, addr.orientation,
+                                 addr.position) == idx
 
     def test_lin_out_of_range(self, map5):
         with pytest.raises(ValueError):
@@ -172,6 +170,14 @@ class TestBulkMap:
                 bulk(np.array([bad], dtype=np.int64))
             assert str(exc.value) == message
 
+    @pytest.mark.parametrize("bad", [[1.7], [0.0, 2.0]], ids=["fraction", "whole-floats"])
+    def test_bulk_maps_reject_float_indices(self, map5, bad):
+        for bulk, kind in ((map5.forward_indices, "logical"), (map5.inverse_indices, "face")):
+            with pytest.raises(ValueError) as exc:
+                bulk(np.array(bad))
+            assert str(exc.value) == f"{kind} indices must be integers, got dtype float64"
+        assert map5.forward_indices(np.array([], dtype=np.float64)).shape == (0,)
+
     def test_bulk_maps_name_the_first_bad_element(self, map5):
         idx = np.array([0, 7, map5.n_faces + 5, -1, map5.n_faces], dtype=np.int64)
         for bulk, kind in ((map5.forward_indices, "logical"), (map5.inverse_indices, "face")):
@@ -213,7 +219,7 @@ class TestMakeBurst:
         digest = hashlib.sha256()
         for seed in range(10):
             burst = make_burst(map5, model, seed, 121 if model == "uniform-random" else None)
-            faces = sorted((f.anchor, f.orientation) for f in burst.faces)
+            faces = sorted(face_from_lin(f, 5, 11) for f in burst.faces)
             digest.update(repr((faces, burst.centers)).encode())
         assert digest.hexdigest() == BURST_SHA256[model]
 
@@ -240,19 +246,19 @@ class TestMakeBurst:
         burst = make_burst(map5, "translate", 5)
         assert burst.model == "translate"
         assert len(burst.faces) == 11
-        anchors = [f.anchor for f in burst.faces]
-        assert len(set(anchors)) == 11
+        points = anchors(burst)
+        assert len(set(points)) == 11
         (center,) = burst.centers
-        for a in anchors:
+        for a in points:
             assert lee_distance(center, a, 11) <= 1
-        for a in anchors:
-            for b in anchors:
+        for a in points:
+            for b in points:
                 assert lee_distance(a, b, 11) <= 2
 
     def test_aligned_shape(self, map5, code5):
         burst = make_burst(map5, "aligned", 6)
         assert len(burst.faces) == 121
-        assert len({f.anchor for f in burst.faces}) == 121
+        assert len(set(anchors(burst))) == 121
         assert len(burst.centers) == 11
         assert sorted(c[0] for c in burst.centers) == list(range(11))
         for center in burst.centers:
@@ -261,8 +267,8 @@ class TestMakeBurst:
     def test_multi_translate_shape(self, map5):
         burst = make_burst(map5, "multi-translate", 7)
         assert sorted(c[0] for c in burst.centers) == list(range(11))
-        anchors = [f.anchor for f in burst.faces]
-        assert len(anchors) == len(set(anchors))  # one error per hypercube
+        points = anchors(burst)
+        assert len(points) == len(set(points))  # one error per hypercube
         assert len(burst.faces) <= 121
 
     def test_multi_translate_one_face_per_covered_hypercube(self, map5, code5):
@@ -273,7 +279,7 @@ class TestMakeBurst:
                 tuple((c + d) % 11 for c, d in zip(center, off))
                 for center in burst.centers for off in code5.offsets
             }
-            assert {f.anchor for f in burst.faces} == covered
+            assert set(anchors(burst)) == covered
             assert len(burst.faces) == len(covered)
             overlapped += len(covered) < 121
         assert overlapped == 3
@@ -306,6 +312,16 @@ class TestMakeBurst:
         with pytest.raises(ValueError, match=r"int64 limit 2\^63 - 1"):
             make_burst(map15, "aligned", 0)
 
+    def test_faces_stay_exact_past_int64(self):
+        map15 = InterleavingMap(generator_matrix(15))
+        burst = make_burst(map15, "translate", 3)
+        assert max(burst.faces) > np.iinfo(np.int64).max
+        (center,) = burst.centers
+        for face in burst.faces:
+            anchor, _ = face_from_lin(face, 15, 31)
+            assert lee_distance(center, anchor, 31) <= 1
+        assert deinterleave_and_correct(map15, burst).success
+
     def test_deterministic_per_seed(self, map5):
         a = make_burst(map5, "aligned", 99)
         b = make_burst(map5, "aligned", 99)
@@ -337,9 +353,7 @@ class TestDeinterleave:
 
     def test_witnesses_on_collision(self, map5):
         # two faces on one hypercube share slot+codeword, hence collide
-        f1 = FaceIndex((0,) * 5, (1, 2))
-        f2 = FaceIndex((0,) * 5, (1, 3))
-        burst = BurstPattern("uniform-random", frozenset([f1, f2]), ())
+        burst = BurstPattern("uniform-random", frozenset([0, 1]), ())
         report = deinterleave_and_correct(map5, burst)
         assert not report.success
         assert report.witnesses == (((0, 0), 2),)

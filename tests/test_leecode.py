@@ -13,6 +13,7 @@ from leetoric.lattice import (
     lee_distance,
     mannheim_weight,
 )
+from leetoric import lattice, leecode
 from leetoric.leecode import (
     PerfectLeeCode,
     build_generators,
@@ -20,6 +21,7 @@ from leetoric.leecode import (
     generator_matrix,
     weight_w_vectors,
 )
+from leetoric.toric import code_params
 
 
 class TestCheckFunctional:
@@ -94,6 +96,21 @@ class TestGeneratorMatrix:
 
     def test_alpha(self, code5):
         assert code5.alpha == 10
+
+    @pytest.mark.parametrize("n", [5, 8, 40])
+    def test_code_params_runs_one_elimination(self, n, monkeypatch):
+        original, calls = lattice.det_adj, []
+        for module in (lattice, leecode):  # every binding of det_adj in the package
+            monkeypatch.setattr(module, "det_adj", lambda rows: calls.append(rows) or original(rows))
+        assert code_params(n).d == 3
+        assert len(calls) == 1
+
+    def test_singular_code_has_det_zero(self):
+        gens = build_generators(5)
+        code = PerfectLeeCode(replace(gens, v1=gens.v))
+        assert code.det == 0
+        with pytest.raises(ValueError, match="generator matrix is singular"):
+            code.lattice_membership((0,) * 5)
 
 
 class TestLatticeMembership:
@@ -196,6 +213,21 @@ class TestSyndromeDecode:
                 decoded, found = code5.decode_single(noisy)
                 assert decoded.point == cw.point
                 assert found == err
+
+
+@pytest.mark.parametrize("call", [
+    lambda code: code.syndrome((1,)),
+    lambda code: code.rank_of((0,) * 6),
+    lambda code: code.rank_of((0,) * 4),
+    lambda code: code.tile_assign((0,) * 6),
+    lambda code: code.tile_assign((1, 2)),
+    lambda code: code.decode_single((0,) * 7),
+    lambda code: code.lattice_membership((0,) * 6),
+], ids=["syndrome", "rank_of-long", "rank_of-short", "tile_assign-long", "tile_assign-short",
+        "decode_single", "lattice_membership"])
+def test_wrong_length_is_rejected(code5, call):
+    with pytest.raises(ValueError, match=r"^expected length 5, got \d$"):
+        call(code5)
 
 
 class TestTileAssign:
@@ -358,6 +390,18 @@ class TestPerfectPacking:
     def test_unknown_mode(self, code5):
         with pytest.raises(ValueError):
             code5.verify_perfect_packing("everything")
+
+    @pytest.mark.parametrize("code_n, args, message", [
+        (5, ("sampled", 0, 0), "samples must be >= 1, got 0"),
+        (5, ("sampled", 10, -1), "seed must be >= 0, got -1"),
+        (7, ("exhaustive", 10, 0),
+         "exhaustive verification is only supported for n = 5; use --mode sampled"),
+    ], ids=["zero-samples", "negative-seed", "exhaustive-n7"])
+    def test_run_verification_rules_hold(self, code_n, args, message):
+        # checked before any hypercube is built: n=7 exhaustive would take ~10 GB
+        with pytest.raises(ValueError) as exc:
+            generator_matrix(code_n).verify_perfect_packing(*args)
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_scalar_fault_is_caught(self, code5, monkeypatch, mode):

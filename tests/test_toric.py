@@ -5,15 +5,8 @@ from fractions import Fraction
 import pytest
 
 from leetoric.interleave import interleaved_params
-from leetoric.toric import (
-    FaceIndex,
-    code_params,
-    face_from_lin,
-    face_lin_index,
-    kitaev_2d_stabilizers,
-    pair_from_rank,
-    pair_rank,
-)
+from leetoric.lattice import hypercube_lin_index
+from leetoric.toric import code_params, face_from_lin, kitaev_2d_stabilizers
 
 TABLE_VALUES = {
     5: (110, 10, 3, "0.09091", "0.18182"),
@@ -45,62 +38,37 @@ class TestCodeParams:
         assert params.t == 1
 
 
-class TestPairRank:
-    @pytest.mark.parametrize("n", [2, 5, 8, 12])
-    def test_bijection(self, n):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for o, (a, b) in enumerate(pairs):
-            assert pair_rank(a, b, n) == o
-            assert pair_from_rank(o, n) == (a, b)
-
-    def test_malformed(self):
-        with pytest.raises(ValueError):
-            pair_rank(3, 3, 5)
-        with pytest.raises(ValueError):
-            pair_rank(2, 1, 5)
-        with pytest.raises(ValueError):
-            pair_from_rank(10, 5)
-
-
 class TestFaceIndex:
     def test_first_faces(self):
-        zero = (0,) * 5
-        assert face_lin_index(FaceIndex(zero, (1, 2)), 11) == 0
-        assert face_lin_index(FaceIndex(zero, (1, 3)), 11) == 1
+        assert face_from_lin(0, 5, 11) == ((0,) * 5, 0)
+        assert face_from_lin(1, 5, 11) == ((0,) * 5, 1)
 
     def test_anchor_stride(self):
-        face = FaceIndex((0, 0, 0, 0, 1), (1, 2))
-        assert face_lin_index(face, 11) == 10
-
-    def test_malformed_axes_rejected(self):
-        with pytest.raises(ValueError):
-            FaceIndex((0,) * 5, (3, 2))
+        assert face_from_lin(10, 5, 11) == ((0, 0, 0, 0, 1), 0)
 
     @pytest.mark.parametrize("n", [5, 6, 8])
     def test_roundtrip_sampled(self, n):
-        q = 2 * n + 1
+        q, alpha = 2 * n + 1, n * (n - 1) // 2
         rnd = random.Random(n)
         for _ in range(2000):
             idx = rnd.randrange(interleaved_params(n).length)
-            face = face_from_lin(idx, n, q)
-            assert face_lin_index(face, q) == idx
-            assert 1 <= face.axes[0] < face.axes[1] <= n
+            anchor, o = face_from_lin(idx, n, q)
+            assert hypercube_lin_index(anchor, q) * alpha + o == idx
+            assert 0 <= o < alpha
 
     def test_range_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as exc:
             face_from_lin(interleaved_params(5).length, 5, 11)
+        assert str(exc.value) == "face index 1610510 out of range [0, 1610510)"
 
     def test_exhaustive_bijection_n5(self):
-        # structural enumeration (anchors in big-endian order, axis
-        # pairs in lex order) must hit the index space exactly in order
+        # the face index walks anchors in big-endian order, and within one
+        # anchor the alpha orientations in order
         q, n = 11, 5
-        axes_in_order = list(itertools.combinations(range(1, n + 1), 2))
-        expected = 0
-        for anchor in itertools.product(range(q), repeat=n):
-            for axes in axes_in_order:
-                assert face_lin_index(FaceIndex(anchor, axes), q) == expected
-                expected += 1
-        assert expected == interleaved_params(n).length
+        faces = itertools.product(itertools.product(range(q), repeat=n), range(n * (n - 1) // 2))
+        for idx, face in enumerate(faces):
+            assert face_from_lin(idx, n, q) == face
+        assert idx + 1 == interleaved_params(n).length
 
 
 class TestKitaev2D:
