@@ -120,15 +120,15 @@ def _check_codeword_bijection(code, map_, mode, samples, seed):
     for idx in _indices(code.n_codewords, mode, min(samples, SAMPLE_CAP), seed):
         point = code.encode(hypercubes_from_lin(idx, q, code.n - 1), np.zeros_like(idx))
         digits, slot, bad = code.decode(point)
-        back = hypercube_lin_indices(np.column_stack(digits), q)
+        back = hypercube_lin_indices(digits, q)
         # nonzero where the syndrome is, or decode gives another label or bad
-        fail = np.flatnonzero(point @ code._h % q | (back != idx) | slot | bad)
+        fail = np.flatnonzero(code._syndromes(point) | (back != idx) | slot | bad)
         if len(fail):
             j, r = divmod(int(idx[fail[0]]), code.codewords_per_section)
             return False, (f"rank round-trip failed at (j={j}, r={r}),"
-                           f" point {tuple(point[fail[0]].tolist())}")
+                           f" point {tuple(int(x[fail[0]]) for x in point)}")
         head = idx[: max(1000 - count, 0)].tolist()
-        for i, pt in zip(head, point[: len(head)].tolist()):
+        for i, pt in zip(head, zip(*(x[: len(head)].tolist() for x in point))):
             jj, rr = divmod(i, code.codewords_per_section)
             if code.codeword_from_rank(jj, rr).point != tuple(pt) or code.rank_of(pt) != (jj, rr):
                 return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"

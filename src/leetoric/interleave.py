@@ -76,8 +76,9 @@ class InterleavingMap:
     Nothing is materialized: both directions cost O(n) arithmetic per
     query, so the map is usable at dimensions where the full table
     (alpha * q^n entries) would not fit in memory.  The scalar methods
-    are exact at any n; the bulk ones run on the code's int64 kernel
-    and need n <= 12.  The instance is immutable and safe to share.
+    are exact at any n; the bulk ones run on the code's int16 column
+    kernel with int64 indices and need n <= 12.  The instance is
+    immutable and safe to share.
     """
 
     def __init__(self, code: PerfectLeeCode):
@@ -147,12 +148,13 @@ class InterleavingMap:
         """
         q, alpha = self.q, self.alpha
         logical = self._check_indices(logical, "logical")
-        # o and p are read off logical when needed, not held through encode
-        digits = hypercubes_from_lin(logical // (q * alpha), q, self.n - 1)
-        slot = digits[:, 1].copy()
-        digits[:, 1:-1] = digits[:, 2:]
-        digits[:, -1] = logical % q
-        return hypercube_lin_indices(self.code.encode(digits, slot), q) * alpha + logical // q % alpha
+        # o is read off logical when needed, not held through encode
+        section, slot, *middle = hypercubes_from_lin(logical // (q * alpha), q, self.n - 1)
+        p = (logical % q).astype(np.int16)
+        face = hypercube_lin_indices(self.code.encode([section, *middle, p], slot), q)
+        face *= alpha
+        face += logical // q % alpha
+        return face
 
     def inverse_indices(self, physical: np.ndarray) -> np.ndarray:
         """Vectorized inverse_index over an int64 array of face indices.
@@ -165,22 +167,28 @@ class InterleavingMap:
         physical = self._check_indices(physical, "face")
         anchor = hypercubes_from_lin(physical // alpha, q, self.n)
         (section, *middle, p), slot, bad = self.code.decode(anchor)
-        idx = hypercube_lin_indices(np.column_stack([section, slot, *middle]), q)
-        logical = (idx * alpha + physical % alpha) * q + p
+        logical = hypercube_lin_indices([section, slot, *middle], q)
+        logical *= alpha
+        logical += physical % alpha
+        logical *= q
+        logical += p
         logical[bad] = -1
         return logical
 
     def _check_indices(self, idx: np.ndarray, kind: str) -> np.ndarray:
-        """idx as int64; ValueError unless every entry is an integer in [0, n_faces)."""
+        """idx as int64; ValueError unless every entry is an integer in [0, n_faces).
+
+        The range is checked in idx's own dtype, before the cast, so the
+        message names the index the caller passed.
+        """
         self.check_int64()
         idx = np.asarray(idx)
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"{kind} indices must be integers, got dtype {idx.dtype}")
-        idx = idx.astype(np.int64, copy=False)
         out = np.flatnonzero((idx < 0) | (idx >= self.n_faces))
         if len(out):
             raise ValueError(f"{kind} index {idx[out[0]]} out of range [0, {self.n_faces})")
-        return idx
+        return idx.astype(np.int64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -229,9 +237,9 @@ def make_burst(
     anchors, orientations, centers = _draw_burst(map_, model, rng, count)
     faces = frozenset(
         hypercube_lin_index(a, map_.q) * map_.alpha + o
-        for a, o in zip(anchors.tolist(), orientations.tolist())
+        for a, o in zip(zip(*anchors.tolist()), orientations.tolist())
     )
-    return BurstPattern(model, faces, tuple(map(tuple, centers.tolist())))
+    return BurstPattern(model, faces, tuple(zip(*centers.tolist())))
 
 
 def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> None:
@@ -257,7 +265,9 @@ def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> 
 def _draw_burst(
     map_: InterleavingMap, model: str, rng: np.random.Generator, count: int | None
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One burst as int64 arrays (anchors (k, n), orientations (k,), centers).
+    """One burst: (anchors, orientations (k,), centers), anchors and centers as columns.
+
+    anchors is (n, k) and centers (n, spheres), one row per coordinate.
 
     The rng calls, with their bounds, sizes and order, define the models
     of make_burst.  A sphere model draws its center (aligned: a rank),
@@ -267,9 +277,9 @@ def _draw_burst(
     code, n, q = map_.code, map_.n, map_.q
     if model == "uniform-random":
         lin, orientations = np.divmod(_sample_distinct(rng, map_.n_faces, count), code.alpha)
-        return hypercubes_from_lin(lin, q, n), orientations, np.empty((0, n), dtype=np.int64)
+        return hypercubes_from_lin(lin, q, n), orientations, np.empty((n, 0), dtype=np.int16)
     if model == "translate":
-        centers = rng.integers(0, q, size=n)[None]
+        centers = rng.integers(0, q, size=n)[:, None]
         orientations = rng.integers(0, code.alpha, size=q)
     else:
         bound, size = (code.codewords_per_section, None) if model == "aligned" else (q, n - 1)
@@ -278,17 +288,17 @@ def _draw_burst(
             heads.append(rng.integers(0, bound, size=size))
             orientations.append(rng.integers(0, code.alpha, size=q))
         orientations = np.concatenate(orientations)
-        sections = np.arange(q, dtype=np.int64)
+        sections = np.arange(q, dtype=np.int16)
         if model == "aligned":
             ranks = hypercubes_from_lin(np.array(heads, dtype=np.int64), q, n - 2)
-            centers = code.encode(np.column_stack([sections, ranks]), np.zeros_like(sections))
+            centers = np.array(code.encode([sections, *ranks], np.zeros(q, dtype=np.intp)))
         else:
-            centers = np.column_stack([sections, heads])
-    anchors = (centers[:, None, :] + code._offsets).reshape(-1, n) % q
+            centers = np.vstack([sections, np.transpose(heads)])
+    # each center plus every slot offset, sphere by sphere
+    anchors = code._reduce(centers[:, :, None] + code._plus_offset[:, None, :]).reshape(n, -1)
     if model == "multi-translate":  # keep the first face drawn on each hypercube
-        rows = anchors.view(np.dtype((np.void, anchors.itemsize * n))).ravel()
-        keep = np.sort(np.unique(rows, return_index=True)[1])
-        anchors, orientations = anchors[keep], orientations[keep]
+        keep = np.sort(np.unique(hypercube_lin_indices(anchors, q), return_index=True)[1])
+        anchors, orientations = anchors[:, keep], orientations[keep]
     return anchors, orientations, centers
 
 
@@ -380,12 +390,12 @@ def simulate(
     faces = 0
     for trial in range(trials):
         bursts.append(_draw_burst(map_, model, trial_rng(master_seed, trial), count)[0])
-        faces += len(bursts[-1])
+        faces += bursts[-1].shape[1]
         if faces < CHUNK_FACES and len(bursts) < CHUNK_FACES and trial < trials - 1:
             continue
         worst, tallies = _tally(map_.code, bursts)
         successes += int(np.count_nonzero(worst <= 1))
-        max_errors = max(max_errors, max(map(len, bursts)))
+        max_errors = max(max_errors, max(burst.shape[1] for burst in bursts))
         for tally, blocks in enumerate(np.bincount(tallies).tolist()):
             if blocks:
                 histogram[tally] = histogram.get(tally, 0) + blocks
@@ -417,11 +427,12 @@ def _tally(code: PerfectLeeCode, bursts: list[np.ndarray]) -> tuple[np.ndarray, 
     combined key to overflow at large n.  A face on no codeword sphere,
     which only a corrupted code has, raises ValueError.
     """
-    anchors = np.concatenate(bursts)
+    anchors = np.concatenate(bursts, axis=1)
     digits, slot, bad = code.decode(anchors)
     if bad.any():
-        raise ValueError(f"face anchor {tuple(anchors[bad][0].tolist())} is on no codeword sphere")
-    owner = np.repeat(np.arange(len(bursts)), [len(b) for b in bursts])
+        first = tuple(anchors[:, bad.argmax()].tolist())
+        raise ValueError(f"face anchor {first} is on no codeword sphere")
+    owner = np.repeat(np.arange(len(bursts)), [burst.shape[1] for burst in bursts])
     # lexsort sorts on the last row first, and far faster on narrow ints
     keys = np.stack(digits[:-1] + [slot, owner])
     keys = keys.astype(np.min_scalar_type(max(code.q, len(bursts))))

@@ -2,8 +2,9 @@
 
 Vectors are plain tuples of Python ints and matrices are sequences of
 row vectors, so every computation in this module is exact; nothing here
-touches floating point.  The bulk twins of the linear-index maps take
-int64 arrays with one vector per row.
+touches floating point.  The bulk twins of the linear-index maps work on
+coordinate columns: a batch of m vectors is n 1-D int16 arrays, one per
+coordinate, while the linear indices stay int64.
 """
 
 from __future__ import annotations
@@ -109,19 +110,36 @@ def hypercube_from_lin(idx: int, q: int, n: int) -> IntVector:
     return tuple(out)
 
 
-def hypercube_lin_indices(z: np.ndarray, q: int) -> np.ndarray:
-    """Bulk hypercube_lin_index over the rows of an (m, n) int64 array.
+def hypercube_lin_indices(z: Sequence[np.ndarray], q: int) -> np.ndarray:
+    """Bulk hypercube_lin_index over n coordinate columns, as int64.
 
-    Coordinates are not range-checked; the caller passes residues.
+    Horner's rule in int64: each product is taken on the int64 partial
+    index, never on a narrow column.  Coordinates are not range-checked;
+    the caller passes residues.
     """
-    return z @ q ** np.arange(z.shape[1] - 1, -1, -1, dtype=np.int64)
+    idx = np.array(z[0], dtype=np.int64)
+    for col in z[1:]:
+        idx *= q
+        idx += col
+    return idx
 
 
 def hypercubes_from_lin(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Bulk hypercube_from_lin: an (m, n) int64 array of coordinates."""
-    out = np.empty((len(idx), n), dtype=np.int64)
-    for col in range(n - 1, -1, -1):
-        idx, out[:, col] = np.divmod(idx, q)
+    """Bulk hypercube_from_lin: the n int16 coordinate columns, as the rows of an (n, m) array.
+
+    The quotient narrows to int32 once it is below 2^31.  Each digit is
+    the quotient step's remainder, taken in int16: the arithmetic is exact
+    mod 2^16 and the digit is below q.
+    """
+    out = np.empty((n, len(idx)), dtype=np.int16)
+    for col in range(n - 1, 0, -1):
+        if q ** (col + 1) <= 2**31:
+            idx = idx.astype(np.int32, copy=False)
+        rest = idx // q
+        np.multiply(rest, -q, out=out[col], casting="unsafe")
+        out[col] += idx.astype(np.int16)
+        idx = rest
+    out[0] = idx
     return out
 
 

@@ -8,7 +8,7 @@ which is why the q^{n-1} radius-1 Lee spheres centred on the codewords
 tile the q^n torus exactly once.  Perfection makes the syndrome decoder
 total: every point is within Lee distance 1 of exactly one codeword.
 The scalar methods of ``PerfectLeeCode`` are the exact Python-int
-reference; ``encode``/``decode`` are their bulk int64 kernel.
+reference; ``encode``/``decode`` are their bulk kernel on int16 columns.
 """
 
 from __future__ import annotations
@@ -124,21 +124,33 @@ class PerfectLeeCode:
         self._adj_columns = None if adj is None else tuple(zip(*adj))
         n, q = self.n, self.q
         # The slot-offset table, built once: row b is slot_offset(b, n).
-        # Scalar callers read the tuples, the bulk kernel the array.
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
-        self._offsets = np.array(self.offsets, dtype=np.int64)
-        self._h = np.array(self.h, dtype=np.int64)
         # The one syndrome -> slot table, read by tile_assign and decode: it
         # inverts the offsets' syndromes, a permutation of Z_q since h covers it.
-        self._slot_of = np.argsort(self._offsets @ self._h % q)
+        self._slot_of = np.argsort([self.syndrome([d % q for d in off]) for off in self.offsets])
         # A codeword is its digits (section, m_{n-2}, ..., m_2, m_v), the
         # big-endian base-q digits of section * q^(n-2) + rank, times these
         # rows v_{n-1}, v_{n-2}, ..., v_2, v.  The peel schedule undoes the
         # product: each (coordinate, digit) reads that digit off the
         # coordinate, then subtracts the digit's row, in this order.
         self.digit_rows = tuple(self.matrix[i] for i in [n - 1, *range(n - 2, 1, -1), 0])
-        self._digit_rows = np.array(self.digit_rows, dtype=np.int64)
-        self.peel = ((0, 0), *((k - 1, n - 1 - k) for k in range(2, n - 1)), (n - 2, n - 2))
+        self.peel = _peel_schedule(n)
+        # The bulk kernel's tables.  The peel is linear mod q, so it is one
+        # matrix B, row i the peel of e_i: digits = x.B mod q.  Every column
+        # sum the kernel forms stays below n q^2 + 2q (7550 at n = 12), so up
+        # to n = 19 the sums are int16 and mod q is one lookup in _mod; past
+        # that they are int64 and reduced by arithmetic.
+        units = ([int(i == j) for j in range(n)] for i in range(n))
+        self.peel_matrix = tuple(tuple(self._peel(unit)[0]) for unit in units)
+        bound = n * q * q + 2 * q
+        self._mod = (np.arange(bound) % q).astype(np.int16) if bound <= 2**15 else None
+        self._dtype = np.int64 if self._mod is None else np.int16
+        self._syndrome_terms = _terms([[h] for h in self.h], q)
+        self._peel_terms = _terms(self.peel_matrix, q)
+        self._row_terms = _terms(self.digit_rows, q)
+        # per-column offset tables: row i, entry b is q +- offsets[b][i]
+        columns = np.array(list(zip(*self.offsets)), dtype=np.int16)
+        self._plus_offset, self._minus_offset = q + columns, q - columns
 
     def __repr__(self) -> str:
         return f"PerfectLeeCode(n={self.n}, q={self.q})"
@@ -221,54 +233,70 @@ class PerfectLeeCode:
     def rank_of(self, point: Sequence[int]) -> tuple[int, int]:
         """Inverse of codeword_from_rank; raises if point is not a codeword.
 
-        Runs the peel schedule: each step reads one digit off its
-        coordinate and subtracts that digit's row; the point is a
-        codeword iff nothing is left.
+        The point is a codeword iff the peel leaves nothing of it.
+        """
+        self._check_length(point)
+        _check_residues(point, self.q)
+        digits, rest = self._peel(point)
+        if any(rest):
+            raise ValueError(f"{tuple(point)} is not a codeword")
+        return digits[0], hypercube_lin_index(digits[1:], self.q)
+
+    def _peel(self, point: Sequence[int]) -> tuple[list[int], list[int]]:
+        """(digits, rest) of the peel schedule run on a residue vector.
+
+        Each step reads one digit off its coordinate and subtracts that
+        digit's row, mod q; rest is what is left at the end.
         """
         q = self.q
-        self._check_length(point)
-        _check_residues(point, q)
         x, digits = list(point), [0] * (self.n - 1)
         for col, d in self.peel:
             m = digits[d] = x[col]
             if m:
                 x = [(a - m * b) % q for a, b in zip(x, self.digit_rows[d])]
-        if any(x):
-            raise ValueError(f"{tuple(point)} is not a codeword")
-        return digits[0], hypercube_lin_index(digits[1:], q)
+        return digits, x
 
-    # -- bulk kernel (int64 arrays, one vector per row) -------------------
+    # -- bulk kernel (int16 columns: a batch is one 1-D array per coordinate) --
 
-    def encode(self, digits: np.ndarray, slot: np.ndarray) -> np.ndarray:
-        """(m, n) anchors: the (m, n-1) digits times the digit rows, plus the slot offset.
+    def encode(self, digits: Sequence[np.ndarray], slot: np.ndarray) -> list[np.ndarray]:
+        """The n anchor columns: the n-1 digit columns times the digit rows, plus the slot offset.
 
-        Row i is codeword_from_rank(j, r) + offsets[slot[i]] where digits[i]
-        is hypercube_from_lin(j * q^(n-2) + r, q, n-1); not range-checked.
+        Row i is codeword_from_rank(j, r) + offsets[slot[i]] where the
+        digits of row i are hypercube_from_lin(j * q^(n-2) + r, q, n-1);
+        not range-checked.
         """
-        point = digits @ self._digit_rows
-        point += self._offsets[slot]
-        point %= self.q
-        return point
+        sums = _sums(digits, self._row_terms, self._dtype)
+        slot = np.asarray(slot, dtype=np.intp)  # once, not once per column
+        return [self._reduce(s + plus.take(slot)) for s, plus in zip(sums, self._plus_offset)]
 
-    def decode(self, anchor: np.ndarray) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
-        """Split (m, n) residue anchors into (digits, slot, bad).
+    def decode(
+        self, anchor: Sequence[np.ndarray]
+    ) -> tuple[list[np.ndarray], np.ndarray, np.ndarray]:
+        """Split n residue columns into (digits, slot, bad).
 
         The bulk tile_assign: the syndrome picks the slot, and the point
-        left after removing its offset runs the peel schedule.  ``digits``
-        holds the n-1 digit columns in encode's order, each below q, so
-        nothing overflows at any n.  ``bad`` flags rows whose point is not
-        on the generator lattice; their digits are meaningless.
+        left after removing its offset is multiplied by the peel matrix.
+        ``digits`` holds the n-1 int16 digit columns in encode's order.
+        ``bad`` flags rows whose point is not its digits times the digit
+        rows, where the peel would leave a rest: the point is off the
+        generator lattice, and its digits are meaningless.
         """
-        q = self.q
-        slot = self._slot_of[(anchor @ self._h) % q]
-        x = anchor - self._offsets[slot]
-        x %= q
-        digits = [None] * (self.n - 1)
-        for col, d in self.peel:
-            digits[d] = x[:, col].copy()
-            x -= digits[d][:, None] * self._digit_rows[d]
-            x %= q
-        return digits, slot, x.any(axis=1)
+        reduce, dtype = self._reduce, self._dtype
+        slot = self._slot_of.take(self._syndromes(anchor))
+        x = [reduce(a + minus.take(slot)) for a, minus in zip(anchor, self._minus_offset)]
+        digits = [reduce(s) for s in _sums(x, self._peel_terms, dtype)]
+        bad = np.zeros(len(slot), dtype=bool)
+        for s, a in zip(_sums(digits, self._row_terms, dtype), x):
+            bad |= reduce(s) != a
+        return digits, slot, bad
+
+    def _syndromes(self, x: Sequence[np.ndarray]) -> np.ndarray:
+        """h.x mod q over residue columns."""
+        return self._reduce(next(_sums(x, self._syndrome_terms, self._dtype)))
+
+    def _reduce(self, s: np.ndarray) -> np.ndarray:
+        """s mod q for 0 <= s < n q^2 + 2q."""
+        return s % self.q if self._mod is None else self._mod.take(s)
 
     # -- distance certificates -----------------------------------------
 
@@ -319,21 +347,22 @@ class PerfectLeeCode:
         if mode == "exhaustive":
             z = hypercubes_from_lin(np.arange(q**n, dtype=np.int64), q, n)
         else:
-            z = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
-        report.hypercubes_checked = len(z)
+            draw = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
+            z = np.ascontiguousarray(draw.T, dtype=np.int16)
+            del draw
+        report.hypercubes_checked = z.shape[1]
         digits, slot, bad = self.decode(z)
         if mode == "exhaustive":
             # the sphere centres found: decoded rows on slot 0
             report.spheres_placed = int(np.count_nonzero((slot == 0) & ~bad))
-        broken = z[bad]
+        broken = np.flatnonzero(bad)
         report.add_violations(
-            len(broken), (f"tile_assign broken at {tuple(row.tolist())}" for row in broken)
+            len(broken), (f"tile_assign broken at {tuple(z[:, i].tolist())}" for i in broken)
         )
-        head = np.column_stack([d[:1000] for d in digits])
-        rank = hypercube_lin_indices(head[:, 1:], q)
-        bulk = zip(head[:, 0].tolist(), rank.tolist(), slot[:1000].tolist())
+        rank = hypercube_lin_indices([d[:1000] for d in digits[1:]], q)
+        bulk = zip(digits[0][:1000].tolist(), rank.tolist(), slot[:1000].tolist())
         wrong = []
-        for row, answer, flagged in zip(z[:1000].tolist(), bulk, bad[:1000].tolist()):
+        for row, answer, flagged in zip(z[:, :1000].T.tolist(), bulk, bad[:1000].tolist()):
             try:
                 cw, cw_slot = self.tile_assign(row)
                 scalar = (cw.section, cw.rank, cw_slot)
@@ -381,6 +410,29 @@ def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+
+
+def _peel_schedule(n: int) -> tuple[tuple[int, int], ...]:
+    """The peel's (coordinate, digit) steps, in order; see PerfectLeeCode."""
+    return ((0, 0), *((k - 1, n - 1 - k) for k in range(2, n - 1)), (n - 2, n - 2))
+
+
+def _terms(matrix: Sequence[Sequence[int]], q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
+    """For each column of matrix mod q, its nonzero (row, entry) pairs."""
+    return tuple(tuple((i, a % q) for i, a in enumerate(col) if a % q) for col in zip(*matrix))
+
+
+def _sums(columns: Sequence[np.ndarray], terms, dtype) -> Iterator[np.ndarray]:
+    """The columns times the matrix of ``terms``, unreduced: dtype columns, one at a time.
+
+    A zero entry costs nothing, and an entry 1 adds its column without a
+    multiply.
+    """
+    for column_terms in terms:
+        acc = np.zeros(len(columns[0]), dtype=dtype)
+        for i, a in column_terms:
+            acc += columns[i] if a == 1 else np.multiply(columns[i], a, dtype=dtype)
+        yield acc
 
 
 def generator_matrix(n: int) -> PerfectLeeCode:

@@ -1,10 +1,12 @@
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from leetoric import leecode
 from leetoric.checks import _check_chain_membership, run_verification
-from leetoric.lattice import determinant
+from leetoric.lattice import determinant, hypercubes_from_lin
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix, weight_w_vectors
 
 
@@ -113,13 +115,24 @@ class TestFaultsFailTheirCheck:
         assert not rows["section_distance"].ok
         assert rows["section_distance"].detail == "cross-section subcode distance 1, expected 4"
 
-    def test_swapped_peel_schedule_fails_the_kernel_checks(self):
-        # decode and rank_of share the schedule, so scalar and bulk agree on
-        # the wrong digits; only the certificates can see the fault
+    def test_swapped_peel_schedule_fails_the_kernel_checks(self, monkeypatch):
+        # the fault goes in where the peel matrix is built, so decode and
+        # rank_of share the schedule: scalar and bulk agree on the wrong
+        # digits, and only the certificates can see the fault
+        schedule = leecode._peel_schedule
+
+        def swapped(n):
+            peel = list(schedule(n))
+            peel[1], peel[2] = peel[2], peel[1]
+            return tuple(peel)
+
+        monkeypatch.setattr(leecode, "_peel_schedule", swapped)
         code = generator_matrix(6)
-        peel = list(code.peel)
-        peel[1], peel[2] = peel[2], peel[1]
-        code.peel = tuple(peel)
+        digits = hypercubes_from_lin(np.arange(0, code.n_codewords, 997), code.q, 5)
+        points = code.encode(digits, np.zeros(digits.shape[1], dtype=np.int64))
+        peeled = np.array(code.decode(points)[0])
+        assert not np.array_equal(peeled, digits)
+        assert peeled.T.tolist() == [code._peel(pt)[0] for pt in zip(*(c.tolist() for c in points))]
         rows = {r.name: r for r in run_verification(6, "sampled", samples=2000, code=code)}
         for name in ("codeword_bijection", "packing", "roundtrip", "section_confinement"):
             assert not rows[name].ok, name

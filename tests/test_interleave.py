@@ -185,6 +185,17 @@ class TestBulkMap:
                 bulk(idx)
             assert str(exc.value) == f"{kind} index 1610515 out of range [0, 1610510)"
 
+    @pytest.mark.parametrize("value", [2**64 - 1, 2**63])
+    @pytest.mark.parametrize("method, kind", [("forward_indices", "logical"),
+                                              ("inverse_indices", "face")])
+    def test_unsigned_index_is_named_as_passed(self, map5, method, kind, value):
+        # the range check runs before the int64 cast, which would wrap value
+        bulk = getattr(map5, method)
+        with pytest.raises(ValueError) as exc:
+            bulk(np.array([7, value], dtype=np.uint64))
+        assert str(exc.value) == f"{kind} index {value} out of range [0, 1610510)"
+        assert bulk(np.array([7], dtype=np.uint64)).tolist() == bulk(np.array([7])).tolist()
+
     def test_inverse_is_minus_one_exactly_off_the_lattice(self):
         gens = build_generators(5)
         middle = list(gens.middle)

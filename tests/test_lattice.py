@@ -258,21 +258,36 @@ class TestHypercubeLinIndex:
     def test_sampled_bijection_n6(self):
         q, n = 13, 6
         rng = np.random.default_rng(0)
-        z = rng.integers(0, q, size=(10**6, n), dtype=np.int64)
+        # one row per coordinate column
+        z = rng.integers(0, q, size=(10**6, n), dtype=np.int64).T
         weights = q ** np.arange(n - 1, -1, -1, dtype=np.int64)
-        lin = z @ weights
+        lin = weights @ z
         back = np.empty_like(z)
         rest = lin.copy()
         for col in range(n - 1, -1, -1):
-            rest, back[:, col] = np.divmod(rest, q)
+            rest, back[col] = np.divmod(rest, q)
         assert np.array_equal(back, z)
-        assert np.array_equal(hypercube_lin_indices(z, q), lin)
+        assert np.array_equal(hypercube_lin_indices(z.astype(np.int16), q), lin)
         assert np.array_equal(hypercubes_from_lin(lin, q, n), z)
-        spot = [int(i) for i in rng.integers(0, len(z), size=50)]
+        spot = [int(i) for i in rng.integers(0, len(lin), size=50)]
         for i in spot:
-            vec = tuple(int(x) for x in z[i])
+            vec = tuple(int(x) for x in z[:, i])
             assert hypercube_lin_index(vec, q) == int(lin[i])
             assert hypercube_from_lin(int(lin[i]), q, n) == vec
+
+    def test_int16_columns_compose_past_2_31_at_n12(self):
+        # every product is taken on the int64 partial index: an int16 one
+        # would wrap at the first step
+        q, n = 25, 12
+        rows = [(q - 1,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (q - 1,)]
+        rows += map(tuple, np.random.default_rng(12).integers(0, q, size=(1000, n)).tolist())
+        columns = np.array(rows, dtype=np.int16).T.copy()
+        lin = hypercube_lin_indices(columns, q)
+        assert lin.dtype == np.int64
+        assert lin.tolist() == [hypercube_lin_index(row, q) for row in rows]
+        assert lin[0] == q**n - 1 > 2**31
+        back = hypercubes_from_lin(lin, q, n)
+        assert back.dtype == np.int16 and np.array_equal(back, columns)
 
     def test_inverse_rejects_overflow(self):
         with pytest.raises(ValueError):

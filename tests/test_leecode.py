@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from leetoric.lattice import (
     determinant,
+    hypercube_from_lin,
     hypercube_lin_indices,
     hypercubes_from_lin,
     lee_distance,
@@ -257,12 +258,12 @@ class TestTileAssign:
 class TestBulkKernel:
     def test_decode_matches_scalar_tile_assign(self, code5):
         # Every one of the 11^5 hypercubes: the full scalar reference sweep.
-        z = np.array(list(itertools.product(range(11), repeat=5)), dtype=np.int64)
-        digits, slot, bad = code5.decode(z)
+        rows = list(itertools.product(range(11), repeat=5))
+        digits, slot, bad = code5.decode(np.array(rows, dtype=np.int16).T.copy())
         assert not bad.any()
-        rank = hypercube_lin_indices(np.column_stack(digits[1:]), 11)
+        rank = hypercube_lin_indices(digits[1:], 11)
         bulk = zip(digits[0].tolist(), rank.tolist(), slot.tolist())
-        for row, want in zip(z.tolist(), bulk):
+        for row, want in zip(rows, bulk):
             cw, slot = code5.tile_assign(tuple(row))
             assert (cw.section, cw.rank, slot) == want
 
@@ -277,11 +278,11 @@ class TestBulkKernel:
         anchor = code.encode(digits, slot)
         for i in range(0, 2000, 97):
             cw = code.codeword_from_rank(int(section[i]), int(rank[i]))
-            assert tuple(anchor[i]) == tuple(
+            assert tuple(int(c[i]) for c in anchor) == tuple(
                 (c + d) % code.q for c, d in zip(cw.point, code.offsets[slot[i]])
             )
         back = code.decode(anchor)
-        for got, want in zip((np.column_stack(back[0]), back[1]), (digits, slot)):
+        for got, want in zip((np.array(back[0]), back[1]), (digits, slot)):
             assert np.array_equal(got, want)
         assert not back[2].any()
 
@@ -291,11 +292,11 @@ class TestBulkKernel:
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
         bad_code = PerfectLeeCode(replace(gens, middle=tuple(middle)))
         rng = np.random.default_rng(7)
-        z = rng.integers(0, 11, size=(500, 5), dtype=np.int64)
+        z = rng.integers(0, 11, size=(500, 5), dtype=np.int64).T.astype(np.int16, order="C")
         bad = bad_code.decode(z)[2]
         assert bad.any() and not bad.all()
         for i in range(500):
-            zt = tuple(int(x) for x in z[i])
+            zt = tuple(int(x) for x in z[:, i])
             if bad[i]:
                 with pytest.raises(ValueError, match="not a codeword"):
                     bad_code.tile_assign(zt)
@@ -321,11 +322,11 @@ class TestBulkKernelProperty:
         section, rank, slot = (np.array(c, dtype=np.int64) for c in zip(*triples))
         digits = hypercubes_from_lin(section * per_section + rank, q, n - 1)
         anchor = code.encode(digits, slot)
-        for (j, r, s), row in zip(triples, anchor.tolist()):
+        for (j, r, s), row in zip(triples, zip(*(c.tolist() for c in anchor))):
             point = code.codeword_from_rank(j, r).point
-            assert tuple(row) == tuple((c + d) % q for c, d in zip(point, code.offsets[s]))
+            assert row == tuple((c + d) % q for c, d in zip(point, code.offsets[s]))
         back = code.decode(anchor)
-        for got, want in zip((np.column_stack(back[0]), back[1]), (digits, slot)):
+        for got, want in zip((np.array(back[0]), back[1]), (digits, slot)):
             assert np.array_equal(got, want)
         assert not back[2].any()
         # the one syndrome -> slot table inverts the offsets' syndromes
@@ -333,6 +334,46 @@ class TestBulkKernelProperty:
         for s in range(q):
             offset = code.offsets[code._slot_of[s]]
             assert code.syndrome([d % q for d in offset]) == s
+
+
+class TestColumnBound:
+    """The kernel's largest column sums, below n q^2 + 2q.
+
+    n = 12 is the largest dimension of the bulk maps, 19 the last whose
+    sums fit int16, 20 the first that runs on int64 sums, and 91 the first
+    where a product of two residues passes int16.
+    """
+
+    @pytest.mark.parametrize("n", [12, 19, 20, 91])
+    def test_decode_extreme_anchors_match_tile_assign(self, n):
+        code = CODES.get(n) or generator_matrix(n)
+        q = code.q
+        rows = [(q - 1,) * n] + [tuple(d % q for d in off) for off in code.offsets]
+        count = 10**4 if n <= 20 else 500  # the scalar oracle is slow at n = 91
+        rows += map(tuple, np.random.default_rng(n).integers(0, q, size=(count, n)).tolist())
+        digits, slot, bad = code.decode(np.array(rows, dtype=np.int16).T.copy())
+        assert not bad.any()
+        bulk = zip(zip(*(d.tolist() for d in digits)), slot.tolist())
+        for row, (got, got_slot) in zip(rows, bulk):
+            cw, want_slot = code.tile_assign(row)
+            assert got == (cw.section, *hypercube_from_lin(cw.rank, q, n - 2))
+            assert got_slot == want_slot
+
+    @pytest.mark.parametrize("n", [12, 19, 20, 91])
+    def test_encode_largest_digits_in_every_slot(self, n):
+        # section q-1 and rank q^(n-2)-1: every digit is q-1
+        code = CODES.get(n) or generator_matrix(n)
+        q = code.q
+        digits = np.full((n - 1, q), q - 1, dtype=np.int16)
+        slot = np.arange(q)
+        anchor = code.encode(digits, slot)
+        top = code.codeword_from_rank(q - 1, code.codewords_per_section - 1).point
+        for s in range(q):
+            want = tuple((c + d) % q for c, d in zip(top, code.offsets[s]))
+            assert tuple(int(c[s]) for c in anchor) == want
+        back = code.decode(anchor)
+        assert np.array_equal(np.array(back[0]), digits) and np.array_equal(back[1], slot)
+        assert not back[2].any()
 
 
 class TestDistanceCertificates:
