@@ -21,6 +21,7 @@ import numpy as np
 
 from .checks import SWEEP_CHUNK, run_verification
 from .interleave import BURST_MODELS, InterleavingMap, interleaved_params, simulate
+from .lattice import hypercubes_from_lin
 from .leecode import PerfectLeeCode, build_generators, generator_matrix
 from .toric import code_params
 
@@ -319,21 +320,34 @@ def cmd_simulate(args, parser) -> int:
 # -- export-map ---------------------------------------------------------------
 
 
+def _csv_rows(logical: np.ndarray, physical: np.ndarray) -> np.ndarray:
+    """The bytes of the rows ``f"{l},{p}\\n"`` of two non-negative int64 columns, as uint8."""
+    widths = [len(str(int(v.max()))) if len(v) else 1 for v in (logical, physical)]
+    rows = np.empty((len(logical), sum(widths) + 2), dtype=np.uint8)
+    keep = np.ones(rows.shape, dtype=bool)
+    for v, w, j, sep in zip((logical, physical), widths, (0, widths[0] + 1), b",\n"):
+        np.add(hypercubes_from_lin(v, 10, w).T, ord("0"), out=rows[:, j : j + w], casting="unsafe")
+        # a digit whose place value is above the value is a leading zero
+        keep[:, j : j + w - 1] = v[:, None] >= 10 ** np.arange(w - 1, 0, -1)
+        rows[:, j + w] = sep
+    return rows[keep]
+
+
 def cmd_export_map(args, parser) -> int:
     map_ = InterleavingMap(generator_matrix(args.n))
     map_.check_int64()  # before --out is opened
     binary = args.format == "binary"
     try:
-        with open(args.out, "wb" if binary else "w", newline=None if binary else "") as fh:
+        with open(args.out, "wb") as fh:
             if not binary:
-                fh.write("logical,physical\n")
+                fh.write(b"logical,physical\n")
             for start in range(0, map_.n_faces, SWEEP_CHUNK):
                 logical = np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
                 physical = map_.forward_indices(logical)
                 if binary:
-                    np.column_stack([logical, physical]).astype("<u8").tofile(fh)
+                    np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe").tofile(fh)
                 else:
-                    fh.writelines(f"{l},{p}\n" for l, p in zip(logical.tolist(), physical.tolist()))
+                    fh.write(_csv_rows(logical, physical))
     except OSError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

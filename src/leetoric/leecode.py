@@ -347,9 +347,7 @@ class PerfectLeeCode:
         if mode == "exhaustive":
             z = hypercubes_from_lin(np.arange(q**n, dtype=np.int64), q, n)
         else:
-            draw = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
-            z = np.ascontiguousarray(draw.T, dtype=np.int16)
-            del draw
+            z = _sampled_hypercubes(q, n, samples, seed)
         report.hypercubes_checked = z.shape[1]
         digits, slot, bad = self.decode(z)
         if mode == "exhaustive":
@@ -374,6 +372,14 @@ class PerfectLeeCode:
             len(wrong), (f"scalar tile_assign disagrees with decode at {row}" for row in wrong)
         )
         return report
+
+
+def _sampled_hypercubes(q: int, n: int, samples: int, seed: int, piece: int = 1 << 16) -> np.ndarray:
+    """``default_rng(seed).integers(0, q, (samples, n))`` as int16 columns, ``piece`` rows a draw."""
+    rng, z = np.random.default_rng(seed), np.empty((n, samples), dtype=np.int16)
+    for start in range(0, samples, piece):
+        z[:, start : start + piece] = rng.integers(0, q, (min(piece, samples - start), n), np.int64).T
+    return z
 
 
 @dataclass

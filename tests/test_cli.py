@@ -5,10 +5,11 @@ from pathlib import Path
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from leetoric.cli import main
+from leetoric.cli import _csv_rows, main
 from leetoric.interleave import InterleavingMap
-from leetoric.leecode import PerfectLeeCode
+from leetoric.leecode import PerfectLeeCode, generator_matrix
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
 
@@ -484,6 +485,9 @@ class TestExportMap:
             rows = [line for i, line in enumerate(fh) if i % stride == 0]
         for line, l, p in zip(rows, logical, expected):
             assert line.rstrip("\n") == f"{l},{p}"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "014c3f8db6da7f3a170b556dfa233860775e1e3c4a8a6605de8c257ec60fb5f6"
+        )
 
     def test_binary_export_is_permutation(self, tmp_path, capsys, map5):
         out_path = tmp_path / "permutation.bin"
@@ -506,3 +510,44 @@ class TestExportMap:
         code, _, err = run(capsys, "export-map", "--n", "5", "--out", str(target))
         assert code == 1
         assert "export failed" in err
+
+
+def f_string_rows(logical, physical):
+    return "".join(f"{l},{p}\n" for l, p in zip(logical, physical)).encode()
+
+
+def assert_csv_rows(logical, physical):
+    got = _csv_rows(np.array(logical, dtype=np.int64), np.array(physical, dtype=np.int64))
+    assert got.tobytes() == f_string_rows(logical, physical)
+
+
+class TestCsvRows:
+    """The array formatter writes the bytes of one f-string per row."""
+
+    EDGES = (
+        [0]
+        + [v for k in range(1, 19) for v in (10**k - 1, 10**k)]
+        + [2**31 - 1, 2**31, 2**32, 2**63 - 1]
+    )
+
+    def test_edge_values(self):
+        assert_csv_rows(self.EDGES, self.EDGES[::-1])
+        assert_csv_rows(self.EDGES[::-1], [0] * len(self.EDGES))
+
+    def test_one_row_and_empty_chunks(self):
+        for value in self.EDGES:
+            assert_csv_rows([value], [value])
+        assert_csv_rows([], [])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=40))
+    def test_matches_f_strings(self, pairs):
+        assert_csv_rows([l for l, _ in pairs], [p for _, p in pairs])
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_last_logical_indices(self, n):
+        # these indices pass 2^32, so the digit split runs in int64
+        map_ = InterleavingMap(generator_matrix(n))
+        logical = np.arange(map_.n_faces - 1000, map_.n_faces, dtype=np.int64)
+        assert logical[0] > 2**32
+        assert_csv_rows(logical.tolist(), map_.forward_indices(logical).tolist())

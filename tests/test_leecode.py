@@ -474,3 +474,15 @@ class TestPerfectPacking:
 
     def test_cardinality(self, code5):
         assert code5.n_codewords == 11**5 // 11
+
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize(
+        ("samples", "n", "piece"), [(10**6, 8, 1 << 16), (54321, 12, 1 << 16), (1000, 5, 333)]
+    )
+    def test_pieced_draw_is_the_one_shot_draw(self, samples, n, piece, seed):
+        # pieces of 333 rows of 5 draws split an odd number of 32-bit draws
+        q = 2 * n + 1
+        one_shot = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
+        pieced = leecode._sampled_hypercubes(q, n, samples, seed, piece)
+        assert pieced.dtype == np.int16
+        assert np.array_equal(pieced, one_shot.T)
