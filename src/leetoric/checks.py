@@ -13,10 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .interleave import InterleavingMap
-from .lattice import hypercube_lin_indices, hypercubes_from_lin
-from .leecode import PerfectLeeCode, check_verification_rules, generator_matrix
+from .lattice import digits_of, lin_indices
+from .leecode import SWEEP_CHUNK, PerfectLeeCode, check_verification_rules, generator_matrix
 
-SWEEP_CHUNK = 1 << 20
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
 
@@ -116,11 +115,11 @@ def _check_chain_membership(code, map_, mode, samples, seed):
 def _check_codeword_bijection(code, map_, mode, samples, seed):
     # decode inverts encode on every index's digits, so no two share a point;
     # the scalar codeword_from_rank and rank_of are the oracle on the first 1000.
-    q, count = code.q, 0
+    radices, count = (code.q,) * (code.n - 1), 0
     for idx in _indices(code.n_codewords, mode, min(samples, SAMPLE_CAP), seed):
-        point = code.encode(hypercubes_from_lin(idx, q, code.n - 1), np.zeros_like(idx))
+        point = code.encode(digits_of(idx, radices), np.zeros_like(idx))
         digits, slot, bad = code.decode(point)
-        back = hypercube_lin_indices(digits, q)
+        back = lin_indices(digits, radices)
         # nonzero where the syndrome is, or decode gives another label or bad
         fail = np.flatnonzero(code._syndromes(point) | (back != idx) | slot | bad)
         if len(fail):
@@ -160,17 +159,19 @@ def _check_packing(code, map_, mode, samples, seed):
     return False, f"{report.violation_count} violations, first: {report.violations[:3]}"
 
 
-def _indices(total, mode, k, seed):
-    """The indices in [0, total) that a check visits, as int64 arrays.
+def _indices(total, mode="exhaustive", k=0, seed=0):
+    """The indices in [0, total) that a sweep visits, as int64 arrays of SWEEP_CHUNK or fewer.
 
-    ``exhaustive``: all of them in SWEEP_CHUNK pieces;
-    ``sampled``: one array of k seeded-random indices.
+    ``exhaustive``: all of them in order; ``sampled``: k seeded-random
+    ones, the pieces of default_rng(seed).integers(0, total, size=k).
     """
     if mode == "exhaustive":
         for start in range(0, total, SWEEP_CHUNK):
             yield np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.int64)
     else:
-        yield np.random.default_rng(seed).integers(0, total, size=k, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        for start in range(0, k, SWEEP_CHUNK):
+            yield rng.integers(0, total, size=min(SWEEP_CHUNK, k - start), dtype=np.int64)
 
 
 def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
@@ -182,8 +183,9 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     """
     total, q, alpha = map_.n_faces, code.q, code.alpha
     section = total // q  # logical indices per section
-    # sampled confinement reads a prefix of the round trip's draws
+    # sampled confinement reads a prefix of the round trip's draws: the first k
     k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
+    unread = k  # the addresses of that prefix in pieces still to come
     trip = leak = None  # the first failure of each check
     for idx in _indices(total, mode, samples, seed):
         fwd = map_.forward_indices(idx)
@@ -192,8 +194,9 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
             miss = np.flatnonzero(back != idx)
             if len(miss):
                 trip = f"round-trip mismatch at logical index {idx[miss[0]]}"
-        moved = back[:k] // section != idx[:k] // section
-        fail = np.flatnonzero(moved | (back[:k] // q % alpha != idx[:k] // q % alpha))
+        head, unread = unread, max(unread - len(idx), 0)
+        moved = back[:head] // section != idx[:head] // section
+        fail = np.flatnonzero(moved | (back[:head] // q % alpha != idx[:head] // q % alpha))
         if leak is None and len(fail):
             addr = map_.logical_from_lin(int(idx[fail[0]]))
             leak = (f"orientation changed at {addr}" if not moved[fail[0]]

@@ -19,9 +19,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import SWEEP_CHUNK, run_verification
+from .checks import _indices, run_verification
 from .interleave import BURST_MODELS, InterleavingMap, interleaved_params, simulate
-from .lattice import hypercubes_from_lin
+from .lattice import digits_of
 from .leecode import PerfectLeeCode, build_generators, generator_matrix
 from .toric import code_params
 
@@ -326,7 +326,7 @@ def _csv_rows(logical: np.ndarray, physical: np.ndarray) -> np.ndarray:
     rows = np.empty((len(logical), sum(widths) + 2), dtype=np.uint8)
     keep = np.ones(rows.shape, dtype=bool)
     for v, w, j, sep in zip((logical, physical), widths, (0, widths[0] + 1), b",\n"):
-        np.add(hypercubes_from_lin(v, 10, w).T, ord("0"), out=rows[:, j : j + w], casting="unsafe")
+        np.add(digits_of(v, (10,) * w).T, ord("0"), out=rows[:, j : j + w], casting="unsafe")
         # a digit whose place value is above the value is a leading zero
         keep[:, j : j + w - 1] = v[:, None] >= 10 ** np.arange(w - 1, 0, -1)
         rows[:, j + w] = sep
@@ -341,8 +341,7 @@ def cmd_export_map(args, parser) -> int:
         with open(args.out, "wb") as fh:
             if not binary:
                 fh.write(b"logical,physical\n")
-            for start in range(0, map_.n_faces, SWEEP_CHUNK):
-                logical = np.arange(start, min(start + SWEEP_CHUNK, map_.n_faces), dtype=np.int64)
+            for logical in _indices(map_.n_faces):
                 physical = map_.forward_indices(logical)
                 if binary:
                     np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe").tofile(fh)

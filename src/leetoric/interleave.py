@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .lattice import IntVector, hypercube_lin_index, hypercube_lin_indices, hypercubes_from_lin
+from .lattice import IntVector, digits_of, hypercube_lin_index, lin_indices
 from .leecode import PerfectLeeCode
 from .toric import face_from_lin
 
@@ -88,6 +88,11 @@ class InterleavingMap:
         self.alpha = code.alpha
         self.block_size = code.q ** (code.n - 3)  # codewords per super-block
         self.n_faces = code.alpha * code.q**code.n
+        # the big-endian radices of a logical index, (section, block,
+        # m_{n-2}, ..., m_2, orientation, position), and of a face index,
+        # (anchor coordinates, orientation)
+        self.logical_radices = (code.q,) * (code.n - 1) + (code.alpha, code.q)
+        self.face_radices = (code.q,) * code.n + (code.alpha,)
 
     def __repr__(self) -> str:
         return f"InterleavingMap(n={self.n}, q={self.q}, faces={self.n_faces})"
@@ -141,20 +146,14 @@ class InterleavingMap:
     def forward_indices(self, logical: np.ndarray) -> np.ndarray:
         """Vectorized forward_index over an int64 array of logical indices.
 
-        The base-q digits of logical // q // alpha are (section, block,
-        m_{n-2}, ..., m_2); block is the slot and the position p is the
-        host's last digit m_v, so shifting them gives the host's digits.
-        An index outside [0, n_faces) raises forward_index's ValueError.
+        Its digits over logical_radices are (section, block, m_{n-2}, ...,
+        m_2, o, p); block is the slot and p is the host's last digit m_v,
+        so moving them gives the host's digits.  An index outside
+        [0, n_faces) raises forward_index's ValueError.
         """
-        q, alpha = self.q, self.alpha
         logical = self._check_indices(logical, "logical")
-        # o is read off logical when needed, not held through encode
-        section, slot, *middle = hypercubes_from_lin(logical // (q * alpha), q, self.n - 1)
-        p = (logical % q).astype(np.int16)
-        face = hypercube_lin_indices(self.code.encode([section, *middle, p], slot), q)
-        face *= alpha
-        face += logical // q % alpha
-        return face
+        section, slot, *middle, o, p = digits_of(logical, self.logical_radices)
+        return lin_indices([*self.code.encode([section, *middle, p], slot), o], self.face_radices)
 
     def inverse_indices(self, physical: np.ndarray) -> np.ndarray:
         """Vectorized inverse_index over an int64 array of face indices.
@@ -163,15 +162,10 @@ class InterleavingMap:
         Total on that range: a face whose hypercube lies on no codeword
         sphere, which only a corrupted code has, maps to -1.
         """
-        q, alpha = self.q, self.alpha
         physical = self._check_indices(physical, "face")
-        anchor = hypercubes_from_lin(physical // alpha, q, self.n)
+        *anchor, o = digits_of(physical, self.face_radices)
         (section, *middle, p), slot, bad = self.code.decode(anchor)
-        logical = hypercube_lin_indices([section, slot, *middle], q)
-        logical *= alpha
-        logical += physical % alpha
-        logical *= q
-        logical += p
+        logical = lin_indices([section, slot, *middle, o, p], self.logical_radices)
         logical[bad] = -1
         return logical
 
@@ -276,8 +270,8 @@ def _draw_burst(
     """
     code, n, q = map_.code, map_.n, map_.q
     if model == "uniform-random":
-        lin, orientations = np.divmod(_sample_distinct(rng, map_.n_faces, count), code.alpha)
-        return hypercubes_from_lin(lin, q, n), orientations, np.empty((n, 0), dtype=np.int16)
+        digits = digits_of(_sample_distinct(rng, map_.n_faces, count), map_.face_radices)
+        return digits[:-1], digits[-1], np.empty((n, 0), dtype=np.int16)
     if model == "translate":
         centers = rng.integers(0, q, size=n)[:, None]
         orientations = rng.integers(0, code.alpha, size=q)
@@ -290,14 +284,14 @@ def _draw_burst(
         orientations = np.concatenate(orientations)
         sections = np.arange(q, dtype=np.int16)
         if model == "aligned":
-            ranks = hypercubes_from_lin(np.array(heads, dtype=np.int64), q, n - 2)
+            ranks = digits_of(np.array(heads, dtype=np.int64), (q,) * (n - 2))
             centers = np.array(code.encode([sections, *ranks], np.zeros(q, dtype=np.intp)))
         else:
             centers = np.vstack([sections, np.transpose(heads)])
     # each center plus every slot offset, sphere by sphere
     anchors = code._reduce(centers[:, :, None] + code._plus_offset[:, None, :]).reshape(n, -1)
     if model == "multi-translate":  # keep the first face drawn on each hypercube
-        keep = np.sort(np.unique(hypercube_lin_indices(anchors, q), return_index=True)[1])
+        keep = np.sort(np.unique(lin_indices(anchors, (q,) * n), return_index=True)[1])
         anchors, orientations = anchors[:, keep], orientations[keep]
     return anchors, orientations, centers
 

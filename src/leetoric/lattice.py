@@ -3,12 +3,13 @@
 Vectors are plain tuples of Python ints and matrices are sequences of
 row vectors, so every computation in this module is exact; nothing here
 touches floating point.  The bulk twins of the linear-index maps work on
-coordinate columns: a batch of m vectors is n 1-D int16 arrays, one per
-coordinate, while the linear indices stay int64.
+digit rows: a batch of m mixed-radix numbers is one 1-D int16 array per
+digit, while the indices stay int64.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 import numpy as np
@@ -110,37 +111,34 @@ def hypercube_from_lin(idx: int, q: int, n: int) -> IntVector:
     return tuple(out)
 
 
-def hypercube_lin_indices(z: Sequence[np.ndarray], q: int) -> np.ndarray:
-    """Bulk hypercube_lin_index over n coordinate columns, as int64.
+def digits_of(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
+    """Big-endian mixed-radix digits of idx in [0, prod(radices)), one int16 row per radix.
 
-    Horner's rule in int64: each product is taken on the int64 partial
-    index, never on a narrow column.  Coordinates are not range-checked;
-    the caller passes residues.
+    Every radix is below 2^15.  The quotient narrows to int32 once the product of the radices
+    still ahead is <= 2^31; each digit is the step's remainder, taken in int16 (exact mod 2^16).
     """
-    idx = np.array(z[0], dtype=np.int64)
-    for col in z[1:]:
-        idx *= q
-        idx += col
-    return idx
-
-
-def hypercubes_from_lin(idx: np.ndarray, q: int, n: int) -> np.ndarray:
-    """Bulk hypercube_from_lin: the n int16 coordinate columns, as the rows of an (n, m) array.
-
-    The quotient narrows to int32 once it is below 2^31.  Each digit is
-    the quotient step's remainder, taken in int16: the arithmetic is exact
-    mod 2^16 and the digit is below q.
-    """
-    out = np.empty((n, len(idx)), dtype=np.int16)
-    for col in range(n - 1, 0, -1):
-        if q ** (col + 1) <= 2**31:
+    out = np.empty((len(radices), len(idx)), dtype=np.int16)
+    for col in range(len(radices) - 1, 0, -1):
+        if math.prod(radices[: col + 1]) <= 2**31:
             idx = idx.astype(np.int32, copy=False)
-        rest = idx // q
-        np.multiply(rest, -q, out=out[col], casting="unsafe")
+        rest = idx // radices[col]
+        np.multiply(rest, -radices[col], out=out[col], casting="unsafe")
         out[col] += idx.astype(np.int16)
         idx = rest
     out[0] = idx
     return out
+
+
+def lin_indices(digits: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
+    """Inverse of digits_of: Horner's rule on the int64 partial index, never on a narrow row.
+
+    Digits are not range-checked.
+    """
+    idx = np.array(digits[0], dtype=np.int64)
+    for row, radix in zip(digits[1:], radices[1:], strict=True):
+        idx *= radix
+        idx += row
+    return idx
 
 
 def _check_residues(v: Sequence[int], q: int) -> None:

@@ -24,13 +24,16 @@ from .lattice import (
     _check_residues,
     canonical_rep,
     det_adj,
+    digits_of,
     hypercube_from_lin,
     hypercube_lin_index,
-    hypercube_lin_indices,
-    hypercubes_from_lin,
+    lin_indices,
     mannheim_weight,
     slot_offset,
 )
+
+# every bulk sweep walks its indices (or sampled rows) in pieces of this many
+SWEEP_CHUNK = 1 << 16
 
 
 def check_functional(n: int) -> IntVector:
@@ -345,7 +348,7 @@ class PerfectLeeCode:
         n, q = self.n, self.q
         report = PackingReport(n=n, q=q, mode=mode)
         if mode == "exhaustive":
-            z = hypercubes_from_lin(np.arange(q**n, dtype=np.int64), q, n)
+            z = digits_of(np.arange(q**n, dtype=np.int64), (q,) * n)
         else:
             z = _sampled_hypercubes(q, n, samples, seed)
         report.hypercubes_checked = z.shape[1]
@@ -357,7 +360,7 @@ class PerfectLeeCode:
         report.add_violations(
             len(broken), (f"tile_assign broken at {tuple(z[:, i].tolist())}" for i in broken)
         )
-        rank = hypercube_lin_indices([d[:1000] for d in digits[1:]], q)
+        rank = lin_indices([d[:1000] for d in digits[1:]], (q,) * (n - 2))
         bulk = zip(digits[0][:1000].tolist(), rank.tolist(), slot[:1000].tolist())
         wrong = []
         for row, answer, flagged in zip(z[:, :1000].T.tolist(), bulk, bad[:1000].tolist()):
@@ -374,11 +377,12 @@ class PerfectLeeCode:
         return report
 
 
-def _sampled_hypercubes(q: int, n: int, samples: int, seed: int, piece: int = 1 << 16) -> np.ndarray:
-    """``default_rng(seed).integers(0, q, (samples, n))`` as int16 columns, ``piece`` rows a draw."""
+def _sampled_hypercubes(q: int, n: int, samples: int, seed: int) -> np.ndarray:
+    """``default_rng(seed).integers(0, q, (samples, n))`` as int16 columns, SWEEP_CHUNK rows a draw."""
     rng, z = np.random.default_rng(seed), np.empty((n, samples), dtype=np.int16)
-    for start in range(0, samples, piece):
-        z[:, start : start + piece] = rng.integers(0, q, (min(piece, samples - start), n), np.int64).T
+    for start in range(0, samples, SWEEP_CHUNK):
+        rows = min(SWEEP_CHUNK, samples - start)
+        z[:, start : start + rows] = rng.integers(0, q, (rows, n), np.int64).T
     return z
 
 

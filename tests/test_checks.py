@@ -5,9 +5,22 @@ import numpy as np
 import pytest
 
 from leetoric import leecode
-from leetoric.checks import _check_chain_membership, run_verification
-from leetoric.lattice import determinant, hypercubes_from_lin
-from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix, weight_w_vectors
+from leetoric.checks import (
+    SAMPLE_CAP,
+    _check_chain_membership,
+    _check_roundtrip_and_section_confinement,
+    _indices,
+    run_verification,
+)
+from leetoric.interleave import InterleavingMap
+from leetoric.lattice import determinant, digits_of
+from leetoric.leecode import (
+    SWEEP_CHUNK,
+    PerfectLeeCode,
+    build_generators,
+    generator_matrix,
+    weight_w_vectors,
+)
 
 
 def in_lattice(rows, x):
@@ -128,7 +141,7 @@ class TestFaultsFailTheirCheck:
 
         monkeypatch.setattr(leecode, "_peel_schedule", swapped)
         code = generator_matrix(6)
-        digits = hypercubes_from_lin(np.arange(0, code.n_codewords, 997), code.q, 5)
+        digits = digits_of(np.arange(0, code.n_codewords, 997), (code.q,) * 5)
         points = code.encode(digits, np.zeros(digits.shape[1], dtype=np.int64))
         peeled = np.array(code.decode(points)[0])
         assert not np.array_equal(peeled, digits)
@@ -169,3 +182,50 @@ class TestResidueCoverageReadsSlotTable:
         assert rows["residue_coverage"].detail == (
             "{0} u {+-h_i} mod q = [0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10]"
         )
+
+
+class TestSweepPieces:
+    @pytest.mark.parametrize("n", [5, 8])
+    def test_sampled_pieces_are_the_one_shot_draw(self, n):
+        # n = 5 has fewer than 2^32 faces, so numpy draws 32-bit values; n = 8 more
+        total = InterleavingMap(generator_matrix(n)).n_faces
+        assert (total < 2**32) == (n == 5)
+        k = 3 * SWEEP_CHUNK + 123
+        pieces = list(_indices(total, "sampled", k, 7))
+        assert [len(piece) for piece in pieces] == [SWEEP_CHUNK] * 3 + [123]
+        one_shot = np.random.default_rng(7).integers(0, total, size=k, dtype=np.int64)
+        assert np.array_equal(np.concatenate(pieces), one_shot)
+
+    def test_exhaustive_pieces_are_the_range(self):
+        pieces = list(_indices(2 * SWEEP_CHUNK + 5))
+        assert [len(piece) for piece in pieces] == [SWEEP_CHUNK] * 2 + [5]
+        assert np.array_equal(np.concatenate(pieces), np.arange(2 * SWEEP_CHUNK + 5))
+
+    @pytest.mark.parametrize(
+        ("position", "leaks"),
+        [(SAMPLE_CAP - 1, True), (SAMPLE_CAP, False), (SWEEP_CHUNK + 10, False)],
+        ids=["last-in-prefix", "first-after-prefix", "second-piece"],
+    )
+    def test_confinement_reads_only_its_prefix(self, monkeypatch, map5, position, leaks):
+        samples, seed = 2 * SWEEP_CHUNK, 4
+        draws = np.random.default_rng(seed).integers(0, map5.n_faces, size=samples).tolist()
+        target = draws[position]
+        # the fault moves one logical index, first drawn at position
+        assert draws.index(target) == position
+        inverse = InterleavingMap.inverse_indices
+
+        def moved(self, physical):
+            # the target comes back one section further on
+            back = inverse(self, physical)
+            return np.where(back == target, (back + self.n_faces // self.q) % self.n_faces, back)
+
+        monkeypatch.setattr(InterleavingMap, "inverse_indices", moved)
+        (trip_ok, trip), (leak_ok, leak) = _check_roundtrip_and_section_confinement(
+            map5.code, map5, "sampled", samples, seed
+        )
+        assert not trip_ok and trip == f"round-trip mismatch at logical index {target}"
+        assert leak_ok is not leaks
+        if leaks:
+            assert leak.endswith(f"leaves section {target // (map5.n_faces // map5.q)}")
+        else:
+            assert leak == f"{SAMPLE_CAP} sampled addresses stay in their section, orientation intact"

@@ -271,6 +271,31 @@ class TestVerify:
         assert payload["mode"] == "sampled"
         assert payload["all_ok"]
 
+    @pytest.mark.parametrize(("argv", "digest"), [
+        (("--n", "5"), "513d70dbb1a06bc5b24525e85b1bd2b6f79771bd6ca254a6788f788d332167cb"),
+        (("--n", "8", "--mode", "sampled"),
+         "67ee5ac88c8f315b1693c81927373eff3dc226665e6ae90ddb1332db6852b5a1"),
+        (("--n", "5", "--corrupt-generator"),
+         "c8d95d89c360b330c1bda66f4b34cffc1e0928ab2b941dbaa413a0ae6a8a2135"),
+        (("--n", "6", "--mode", "sampled", "--samples", "20000", "--seed", "3",
+          "--corrupt-generator"),
+         "b57a1132991965deed0c7184bcc9b90e5a3fca6c6f0cff284b0f694720674572"),
+        (("--n", "8", "--mode", "sampled", "--corrupt-generator"),
+         "76591f540d94275fe3203cd815806b096ffb71daeb2c8c065140452e36d95aa8"),
+        # these three span several sweep pieces
+        (("--n", "5", "--mode", "sampled", "--samples", "200000", "--seed", "5"),
+         "66a3bd9b5a150347d5454b6eed1643a35a9177fb159a6eeaa3c2503836827e3d"),
+        (("--n", "6", "--mode", "sampled", "--samples", "300000", "--seed", "3"),
+         "c48ba3376b48fd19f22d18611230498146204f5c04b6765b7d975f78b07239d4"),
+        (("--n", "5", "--mode", "sampled", "--samples", "300000", "--corrupt-generator"),
+         "29471dbeb2025461ab6024810a11873ffd460c10841692c4f229ca0d45f8fcb4"),
+    ], ids=["n5", "n8-sampled", "n5-corrupt", "n6-20000-seed3-corrupt", "n8-sampled-corrupt",
+            "n5-200000-seed5", "n6-300000-seed3", "n5-300000-corrupt"])
+    def test_json_bytes_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == (1 if "--corrupt-generator" in argv else 0)
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_json_byte_identical(self, capsys):
         _, first, _ = run(
             capsys, "verify", "--n", "5", "--mode", "sampled",

@@ -21,7 +21,7 @@ from leetoric.interleave import (
     simulate,
     trial_rng,
 )
-from leetoric.lattice import hypercubes_from_lin, lee_distance
+from leetoric.lattice import digits_of, lee_distance
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
 from leetoric.toric import face_from_lin
 
@@ -202,7 +202,7 @@ class TestBulkMap:
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
         bad_map = InterleavingMap(PerfectLeeCode(replace(gens, middle=tuple(middle))))
         faces = np.random.default_rng(5).integers(0, bad_map.n_faces, size=20000)
-        bad = bad_map.code.decode(hypercubes_from_lin(faces // bad_map.alpha, 11, 5))[2]
+        bad = bad_map.code.decode(digits_of(faces // bad_map.alpha, (11,) * 5))[2]
         assert bad.any() and not bad.all()
         back = bad_map.inverse_indices(faces)
         assert np.array_equal(back == -1, bad)

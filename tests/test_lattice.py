@@ -1,3 +1,4 @@
+import math
 import random
 from dataclasses import replace
 
@@ -9,11 +10,11 @@ from leetoric.lattice import (
     canonical_rep,
     det_adj,
     determinant,
+    digits_of,
     hypercube_from_lin,
-    hypercube_lin_indices,
-    hypercubes_from_lin,
     hypercube_lin_index,
     lee_distance,
+    lin_indices,
     mannheim_weight,
     slot_offset,
 )
@@ -244,6 +245,71 @@ class TestLeeSphere:
                 assert (0,) * 5 in members  # wraparound
 
 
+def divmod_digits(i, radices):
+    """Independent oracle: the big-endian digits of i by Python divmod."""
+    digits = []
+    for radix in reversed(radices):
+        i, d = divmod(i, radix)
+        digits.append(d)
+    return digits[::-1]
+
+
+def horner(digits, radices):
+    """Independent oracle: the index of big-endian digits by Horner's rule on Python ints."""
+    i = 0
+    for d, radix in zip(digits, radices):
+        i = i * radix + d
+    return i
+
+
+def check_mixed_radix(radices, values):
+    """digits_of and lin_indices agree with divmod_digits and horner on values."""
+    product = math.prod(radices)
+    # both sides of the int32 narrowing, and the largest index
+    values = [v for v in [0, 2**31 - 1, 2**31, 2**32, product - 1, *values] if v < product]
+    digits = digits_of(np.array(values, dtype=np.int64), radices)
+    assert digits.dtype == np.int16 and digits.shape == (len(radices), len(values))
+    want = [divmod_digits(v, radices) for v in values]
+    assert digits.T.tolist() == want
+    back = lin_indices(digits, radices)
+    assert back.dtype == np.int64
+    assert back.tolist() == [horner(d, radices) for d in want] == values
+
+
+# a radix tuple, kept to its longest prefix whose product is below 2^63
+RADICES = st.lists(
+    st.one_of(st.integers(2, 40), st.integers(2, 2**15 - 1)), min_size=1, max_size=24
+).map(lambda r: [x for k, x in enumerate(r) if math.prod(r[: k + 1]) < 2**63])
+
+
+class TestMixedRadix:
+    @settings(max_examples=300, deadline=None)
+    @given(radices=RADICES, data=st.data())
+    def test_split_and_compose_match_divmod_and_horner(self, radices, data):
+        product = math.prod(radices)
+        values = data.draw(st.lists(st.integers(0, product - 1), max_size=40))
+        check_mixed_radix(radices, values)
+
+    @pytest.mark.parametrize("radices", [
+        (2**15 - 1,) * 4,  # product near 2^60: int64 quotients, then int32 below 2^30
+        (2,) * 62,
+        (25,) * 12,  # the face anchors at n = 12
+        (17,) * 7 + (28, 17),  # the logical layout at n = 8
+        (17,) * 8 + (28,),  # the face layout at n = 8
+        (11,) * 4 + (10, 11),
+    ])
+    def test_fixed_radices(self, radices):
+        check_mixed_radix(radices, range(0, math.prod(radices), math.prod(radices) // 997 + 1))
+
+    @pytest.mark.parametrize("width", range(1, 19))
+    def test_decimal_digits(self, width):
+        # the CSV formatter's (10,) * w split: 10^k - 1 and 10^k for every k < w
+        values = [10**k + e for k in range(width) for e in (-1, 0)]
+        check_mixed_radix((10,) * width, values)
+        digits = digits_of(np.array([10**width - 1], dtype=np.int64), (10,) * width)
+        assert digits.T.tolist() == [[9] * width]
+
+
 class TestHypercubeLinIndex:
     def test_examples(self):
         assert hypercube_lin_index((0,) * 5, 11) == 0
@@ -267,8 +333,8 @@ class TestHypercubeLinIndex:
         for col in range(n - 1, -1, -1):
             rest, back[col] = np.divmod(rest, q)
         assert np.array_equal(back, z)
-        assert np.array_equal(hypercube_lin_indices(z.astype(np.int16), q), lin)
-        assert np.array_equal(hypercubes_from_lin(lin, q, n), z)
+        assert np.array_equal(lin_indices(z.astype(np.int16), (q,) * n), lin)
+        assert np.array_equal(digits_of(lin, (q,) * n), z)
         spot = [int(i) for i in rng.integers(0, len(lin), size=50)]
         for i in spot:
             vec = tuple(int(x) for x in z[:, i])
@@ -282,11 +348,11 @@ class TestHypercubeLinIndex:
         rows = [(q - 1,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (q - 1,)]
         rows += map(tuple, np.random.default_rng(12).integers(0, q, size=(1000, n)).tolist())
         columns = np.array(rows, dtype=np.int16).T.copy()
-        lin = hypercube_lin_indices(columns, q)
+        lin = lin_indices(columns, (q,) * n)
         assert lin.dtype == np.int64
         assert lin.tolist() == [hypercube_lin_index(row, q) for row in rows]
         assert lin[0] == q**n - 1 > 2**31
-        back = hypercubes_from_lin(lin, q, n)
+        back = digits_of(lin, (q,) * n)
         assert back.dtype == np.int16 and np.array_equal(back, columns)
 
     def test_inverse_rejects_overflow(self):

@@ -8,10 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from leetoric.lattice import (
     determinant,
+    digits_of,
     hypercube_from_lin,
-    hypercube_lin_indices,
-    hypercubes_from_lin,
     lee_distance,
+    lin_indices,
     mannheim_weight,
 )
 from leetoric import lattice, leecode
@@ -261,7 +261,7 @@ class TestBulkKernel:
         rows = list(itertools.product(range(11), repeat=5))
         digits, slot, bad = code5.decode(np.array(rows, dtype=np.int16).T.copy())
         assert not bad.any()
-        rank = hypercube_lin_indices(digits[1:], 11)
+        rank = lin_indices(digits[1:], (11,) * 3)
         bulk = zip(digits[0].tolist(), rank.tolist(), slot.tolist())
         for row, want in zip(rows, bulk):
             cw, slot = code5.tile_assign(tuple(row))
@@ -274,7 +274,8 @@ class TestBulkKernel:
         section = rng.integers(0, code.q, size=2000, dtype=np.int64)
         rank = rng.integers(0, code.codewords_per_section, size=2000, dtype=np.int64)
         slot = rng.integers(0, code.q, size=2000, dtype=np.int64)
-        digits = hypercubes_from_lin(section * code.codewords_per_section + rank, code.q, n - 1)
+        index = section * code.codewords_per_section + rank
+        digits = digits_of(index, (code.q,) * (n - 1))
         anchor = code.encode(digits, slot)
         for i in range(0, 2000, 97):
             cw = code.codeword_from_rank(int(section[i]), int(rank[i]))
@@ -320,7 +321,7 @@ class TestBulkKernelProperty:
         # the largest rank and the last slot are always among the cases
         triples += [(q - 1, per_section - 1, q - 1), (0, per_section - 1, 0), (0, 0, q - 1)]
         section, rank, slot = (np.array(c, dtype=np.int64) for c in zip(*triples))
-        digits = hypercubes_from_lin(section * per_section + rank, q, n - 1)
+        digits = digits_of(section * per_section + rank, (q,) * (n - 1))
         anchor = code.encode(digits, slot)
         for (j, r, s), row in zip(triples, zip(*(c.tolist() for c in anchor))):
             point = code.codeword_from_rank(j, r).point
@@ -479,10 +480,11 @@ class TestPerfectPacking:
     @pytest.mark.parametrize(
         ("samples", "n", "piece"), [(10**6, 8, 1 << 16), (54321, 12, 1 << 16), (1000, 5, 333)]
     )
-    def test_pieced_draw_is_the_one_shot_draw(self, samples, n, piece, seed):
+    def test_pieced_draw_is_the_one_shot_draw(self, monkeypatch, samples, n, piece, seed):
         # pieces of 333 rows of 5 draws split an odd number of 32-bit draws
+        monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
         q = 2 * n + 1
         one_shot = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
-        pieced = leecode._sampled_hypercubes(q, n, samples, seed, piece)
+        pieced = leecode._sampled_hypercubes(q, n, samples, seed)
         assert pieced.dtype == np.int16
         assert np.array_equal(pieced, one_shot.T)
