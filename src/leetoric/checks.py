@@ -14,7 +14,7 @@ import numpy as np
 
 from .interleave import InterleavingMap
 from .lattice import digits_of, lin_indices
-from .leecode import SWEEP_CHUNK, PerfectLeeCode, check_verification_rules, generator_matrix
+from .leecode import SCALAR_ROWS, PerfectLeeCode, check_verification_rules, generator_matrix, sweep
 
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
@@ -114,9 +114,9 @@ def _check_chain_membership(code, map_, mode, samples, seed):
 
 def _check_codeword_bijection(code, map_, mode, samples, seed):
     # decode inverts encode on every index's digits, so no two share a point;
-    # the scalar codeword_from_rank and rank_of are the oracle on the first 1000.
-    radices, count = (code.q,) * (code.n - 1), 0
-    for idx in _indices(code.n_codewords, mode, min(samples, SAMPLE_CAP), seed):
+    # the scalar codeword_from_rank and rank_of are the oracle on the first SCALAR_ROWS.
+    radices, k = (code.q,) * (code.n - 1), min(samples, SAMPLE_CAP)
+    for start, idx in sweep(code.n_codewords, mode, k, seed):
         point = code.encode(digits_of(idx, radices), np.zeros_like(idx))
         digits, slot, bad = code.decode(point)
         back = lin_indices(digits, radices)
@@ -126,15 +126,14 @@ def _check_codeword_bijection(code, map_, mode, samples, seed):
             j, r = divmod(int(idx[fail[0]]), code.codewords_per_section)
             return False, (f"rank round-trip failed at (j={j}, r={r}),"
                            f" point {tuple(int(x[fail[0]]) for x in point)}")
-        head = idx[: max(1000 - count, 0)].tolist()
+        head = idx[: max(SCALAR_ROWS - start, 0)].tolist()
         for i, pt in zip(head, zip(*(x[: len(head)].tolist() for x in point))):
             jj, rr = divmod(i, code.codewords_per_section)
             if code.codeword_from_rank(jj, rr).point != tuple(pt) or code.rank_of(pt) != (jj, rr):
                 return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"
-        count += len(idx)
     if mode == "exhaustive":
-        return True, f"{count} distinct codewords, ranks round-trip"
-    return True, f"{count} sampled (section, rank) pairs round-trip"
+        return True, f"{code.n_codewords} distinct codewords, ranks round-trip"
+    return True, f"{k} sampled (section, rank) pairs round-trip"
 
 
 def _check_min_distance(code, map_, mode, samples, seed):
@@ -159,21 +158,6 @@ def _check_packing(code, map_, mode, samples, seed):
     return False, f"{report.violation_count} violations, first: {report.violations[:3]}"
 
 
-def _indices(total, mode="exhaustive", k=0, seed=0):
-    """The indices in [0, total) that a sweep visits, as int64 arrays of SWEEP_CHUNK or fewer.
-
-    ``exhaustive``: all of them in order; ``sampled``: k seeded-random
-    ones, the pieces of default_rng(seed).integers(0, total, size=k).
-    """
-    if mode == "exhaustive":
-        for start in range(0, total, SWEEP_CHUNK):
-            yield np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.int64)
-    else:
-        rng = np.random.default_rng(seed)
-        for start in range(0, k, SWEEP_CHUNK):
-            yield rng.integers(0, total, size=min(SWEEP_CHUNK, k - start), dtype=np.int64)
-
-
 def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     """Round trip and section confinement from one forward + inverse pass.
 
@@ -185,16 +169,15 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     section = total // q  # logical indices per section
     # sampled confinement reads a prefix of the round trip's draws: the first k
     k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
-    unread = k  # the addresses of that prefix in pieces still to come
     trip = leak = None  # the first failure of each check
-    for idx in _indices(total, mode, samples, seed):
+    for start, idx in sweep(total, mode, samples, seed):
         fwd = map_.forward_indices(idx)
         back = map_.inverse_indices(fwd)
         if trip is None:
             miss = np.flatnonzero(back != idx)
             if len(miss):
                 trip = f"round-trip mismatch at logical index {idx[miss[0]]}"
-        head, unread = unread, max(unread - len(idx), 0)
+        head = max(k - start, 0)
         moved = back[:head] // section != idx[:head] // section
         fail = np.flatnonzero(moved | (back[:head] // q % alpha != idx[:head] // q % alpha))
         if leak is None and len(fail):

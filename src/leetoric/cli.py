@@ -19,10 +19,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .checks import _indices, run_verification
+from .checks import run_verification
 from .interleave import BURST_MODELS, InterleavingMap, interleaved_params, simulate
 from .lattice import digits_of
-from .leecode import PerfectLeeCode, build_generators, generator_matrix
+from .leecode import PerfectLeeCode, build_generators, generator_matrix, sweep
 from .toric import code_params
 
 EXIT_OK = 0
@@ -341,7 +341,7 @@ def cmd_export_map(args, parser) -> int:
         with open(args.out, "wb") as fh:
             if not binary:
                 fh.write(b"logical,physical\n")
-            for logical in _indices(map_.n_faces):
+            for _, logical in sweep(map_.n_faces):
                 physical = map_.forward_indices(logical)
                 if binary:
                     np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe").tofile(fh)

@@ -34,6 +34,24 @@ from .lattice import (
 
 # every bulk sweep walks its indices (or sampled rows) in pieces of this many
 SWEEP_CHUNK = 1 << 16
+# the bulk certificates check this many first rows of a sweep against the scalar oracle
+SCALAR_ROWS = 1000
+
+
+def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[int, np.ndarray]]:
+    """The (start, piece) pairs of a bulk sweep, SWEEP_CHUNK rows a piece, start the piece's offset.
+
+    ``exhaustive``: the int64 ranges of [0, total), in order; ``sampled``:
+    the pieces of the one draw default_rng(seed).integers(0, total, (k, *row),
+    int64), the same however it is pieced since the stream carries over.
+    """
+    if mode == "exhaustive":
+        for start in range(0, total, SWEEP_CHUNK):
+            yield start, np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.int64)
+    else:
+        rng = np.random.default_rng(seed)
+        for start in range(0, k, SWEEP_CHUNK):
+            yield start, rng.integers(0, total, (min(SWEEP_CHUNK, k - start), *row), np.int64)
 
 
 def check_functional(n: int) -> IntVector:
@@ -335,55 +353,49 @@ class PerfectLeeCode:
     ) -> "PackingReport":
         """Certify that the codeword spheres tile Z_q^n exactly once.
 
-        Both modes decode hypercubes in bulk and report each row decode
-        flags ``bad``, in row order: ``exhaustive`` all q^n of them in
-        linear-index order, ``sampled`` ``samples`` seeded-random ones.  A
-        row not ``bad`` is encode of its label (digits, slot), so with no
-        ``bad`` row z -> label is injective from the q^n hypercubes to the
-        q^n labels, a bijection: the spheres tile.  On the first 1000 rows
-        the scalar tile_assign must give decode's label as (section, rank,
-        slot), or fail (None) on exactly the ``bad`` rows.
+        Both modes decode hypercubes in bulk, one ``sweep`` piece at a time,
+        and report each row decode flags ``bad``, in row order:
+        ``exhaustive`` all q^n of them in linear-index order, ``sampled``
+        ``samples`` seeded-random ones.  A row not ``bad`` is encode of its
+        label (digits, slot), so with no ``bad`` row z -> label is injective
+        from the q^n hypercubes to the q^n labels, a bijection: the spheres
+        tile.  On the first SCALAR_ROWS rows of the sweep the scalar
+        tile_assign must give decode's label as (section, rank, slot), or
+        fail (None) on exactly the ``bad`` rows; its disagreements are
+        reported after every ``bad`` row.
         """
         check_verification_rules(self.n, mode, samples, seed)
         n, q = self.n, self.q
         report = PackingReport(n=n, q=q, mode=mode)
-        if mode == "exhaustive":
-            z = digits_of(np.arange(q**n, dtype=np.int64), (q,) * n)
-        else:
-            z = _sampled_hypercubes(q, n, samples, seed)
-        report.hypercubes_checked = z.shape[1]
-        digits, slot, bad = self.decode(z)
-        if mode == "exhaustive":
-            # the sphere centres found: decoded rows on slot 0
-            report.spheres_placed = int(np.count_nonzero((slot == 0) & ~bad))
-        broken = np.flatnonzero(bad)
-        report.add_violations(
-            len(broken), (f"tile_assign broken at {tuple(z[:, i].tolist())}" for i in broken)
-        )
-        rank = lin_indices([d[:1000] for d in digits[1:]], (q,) * (n - 2))
-        bulk = zip(digits[0][:1000].tolist(), rank.tolist(), slot[:1000].tolist())
-        wrong = []
-        for row, answer, flagged in zip(z[:, :1000].T.tolist(), bulk, bad[:1000].tolist()):
-            try:
-                cw, cw_slot = self.tile_assign(row)
-                scalar = (cw.section, cw.rank, cw_slot)
-            except ValueError:
-                scalar = None
-            if scalar != (None if flagged else answer):
-                wrong.append(tuple(row))
+        exhaustive, wrong = mode == "exhaustive", []
+        for start, z in sweep(q**n if exhaustive else q, mode, samples, seed, (n,)):
+            # an exhaustive piece is hypercube indices, a sampled one rows of n
+            # digits; either becomes n int16 columns, and the int64 piece is freed
+            z = digits_of(z, (q,) * n) if exhaustive else z.T.astype(np.int16, order="C")
+            report.hypercubes_checked += z.shape[1]
+            digits, slot, bad = self.decode(z)
+            if exhaustive:
+                # the sphere centres found: decoded rows on slot 0
+                report.spheres_placed += int(np.count_nonzero((slot == 0) & ~bad))
+            broken = np.flatnonzero(bad)
+            report.add_violations(
+                len(broken), (f"tile_assign broken at {tuple(z[:, i].tolist())}" for i in broken)
+            )
+            head = max(SCALAR_ROWS - start, 0)
+            rank = lin_indices([d[:head] for d in digits[1:]], (q,) * (n - 2))
+            bulk = zip(digits[0][:head].tolist(), rank.tolist(), slot[:head].tolist())
+            for row, answer, flagged in zip(z[:, :head].T.tolist(), bulk, bad[:head].tolist()):
+                try:
+                    cw, cw_slot = self.tile_assign(row)
+                    scalar = (cw.section, cw.rank, cw_slot)
+                except ValueError:
+                    scalar = None
+                if scalar != (None if flagged else answer):
+                    wrong.append(tuple(row))
         report.add_violations(
             len(wrong), (f"scalar tile_assign disagrees with decode at {row}" for row in wrong)
         )
         return report
-
-
-def _sampled_hypercubes(q: int, n: int, samples: int, seed: int) -> np.ndarray:
-    """``default_rng(seed).integers(0, q, (samples, n))`` as int16 columns, SWEEP_CHUNK rows a draw."""
-    rng, z = np.random.default_rng(seed), np.empty((n, samples), dtype=np.int16)
-    for start in range(0, samples, SWEEP_CHUNK):
-        rows = min(SWEEP_CHUNK, samples - start)
-        z[:, start : start + rows] = rng.integers(0, q, (rows, n), np.int64).T
-    return z
 
 
 @dataclass

@@ -9,7 +9,6 @@ from leetoric.checks import (
     SAMPLE_CAP,
     _check_chain_membership,
     _check_roundtrip_and_section_confinement,
-    _indices,
     run_verification,
 )
 from leetoric.interleave import InterleavingMap
@@ -19,6 +18,7 @@ from leetoric.leecode import (
     PerfectLeeCode,
     build_generators,
     generator_matrix,
+    sweep,
     weight_w_vectors,
 )
 
@@ -184,6 +184,11 @@ class TestResidueCoverageReadsSlotTable:
         )
 
 
+def piece_offsets(pieces):
+    """The offset of each piece in the sweep: the summed lengths of the pieces before it."""
+    return [sum(len(piece) for piece in pieces[:i]) for i in range(len(pieces))]
+
+
 class TestSweepPieces:
     @pytest.mark.parametrize("n", [5, 8])
     def test_sampled_pieces_are_the_one_shot_draw(self, n):
@@ -191,14 +196,16 @@ class TestSweepPieces:
         total = InterleavingMap(generator_matrix(n)).n_faces
         assert (total < 2**32) == (n == 5)
         k = 3 * SWEEP_CHUNK + 123
-        pieces = list(_indices(total, "sampled", k, 7))
+        starts, pieces = zip(*sweep(total, "sampled", k, 7))
         assert [len(piece) for piece in pieces] == [SWEEP_CHUNK] * 3 + [123]
+        assert list(starts) == piece_offsets(pieces)
         one_shot = np.random.default_rng(7).integers(0, total, size=k, dtype=np.int64)
         assert np.array_equal(np.concatenate(pieces), one_shot)
 
     def test_exhaustive_pieces_are_the_range(self):
-        pieces = list(_indices(2 * SWEEP_CHUNK + 5))
+        starts, pieces = zip(*sweep(2 * SWEEP_CHUNK + 5))
         assert [len(piece) for piece in pieces] == [SWEEP_CHUNK] * 2 + [5]
+        assert list(starts) == piece_offsets(pieces)
         assert np.array_equal(np.concatenate(pieces), np.arange(2 * SWEEP_CHUNK + 5))
 
     @pytest.mark.parametrize(

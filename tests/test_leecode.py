@@ -1,5 +1,6 @@
 import itertools
 import random
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -416,6 +417,10 @@ class TestDistanceCertificates:
         assert mannheim_weight(point, 11) == 4
 
 
+def broken_tile_assign(self, z):
+    raise ValueError("injected scalar fault")
+
+
 class TestPerfectPacking:
     def test_sampled_n5(self, code5):
         report = code5.verify_perfect_packing("sampled", samples=10**4, seed=1)
@@ -447,10 +452,7 @@ class TestPerfectPacking:
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     def test_scalar_fault_is_caught(self, code5, monkeypatch, mode):
-        def broken(self, z):
-            raise ValueError("injected scalar fault")
-
-        monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken)
+        monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_tile_assign)
         report = code5.verify_perfect_packing(mode, samples=2000, seed=4)
         # Only the 1000-row scalar cross-check sees the fault; decode is intact.
         assert report.violation_count == 1000
@@ -485,6 +487,85 @@ class TestPerfectPacking:
         monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
         q = 2 * n + 1
         one_shot = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
-        pieced = leecode._sampled_hypercubes(q, n, samples, seed)
-        assert pieced.dtype == np.int16
-        assert np.array_equal(pieced, one_shot.T)
+        starts, pieces = zip(*leecode.sweep(q, "sampled", samples, seed, (n,)))
+        assert [p.shape for p in pieces] == [(min(piece, samples - s), n) for s in starts]
+        assert list(starts) == [sum(map(len, pieces[:i])) for i in range(len(pieces))]
+        pieced = np.concatenate(pieces)
+        assert pieced.dtype == np.int64
+        assert np.array_equal(pieced, one_shot)
+
+    @pytest.mark.parametrize(
+        ("n", "mode", "samples", "seed", "fault"),
+        [
+            (5, "exhaustive", 10**6, 0, "generator"),
+            (6, "sampled", 20000, 3, "generator"),
+            (5, "exhaustive", 2000, 4, "scalar"),
+            (5, "sampled", 2000, 4, "scalar"),
+        ],
+        ids=["corrupt-n5-exhaustive", "corrupt-n6-sampled", "scalar-exhaustive", "scalar-sampled"],
+    )
+    def test_piece_size_does_not_change_the_report(
+        self, monkeypatch, n, mode, samples, seed, fault
+    ):
+        if fault == "generator":
+            # the verify --corrupt-generator fault: v_2 gets +1 on its last coordinate
+            gens = build_generators(n)
+            middle = (gens.middle[0][:-1] + (gens.middle[0][-1] + 1,),) + gens.middle[1:]
+            code = PerfectLeeCode(replace(gens, middle=middle))
+        else:
+            code = generator_matrix(n)
+            monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_tile_assign)
+        reports = []
+        for piece in (333, 1 << 20):
+            monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
+            reports.append(code.verify_perfect_packing(mode, samples=samples, seed=seed))
+        small, whole = reports
+        assert vars(small) == vars(whole)
+        assert small.violations == whole.violations
+        assert not small.ok
+        if fault == "scalar":
+            # rows [0, 1000) of the whole sweep, spread over four 333-row pieces
+            assert small.violation_count == 1000
+        elif mode == "exhaustive":
+            assert small.violation_count == 146410
+            assert small.violations[:3] == [
+                "tile_assign broken at (0, 0, 0, 0, 4)",
+                "tile_assign broken at (0, 0, 0, 0, 7)",
+                "tile_assign broken at (0, 0, 0, 1, 1)",
+            ]
+
+    @pytest.mark.parametrize("piece", [333, 1 << 20])
+    def test_scalar_disagreements_follow_every_broken_row(self, monkeypatch, code5, piece):
+        # decode flags hypercube 5000, in the 16th 333-row piece; the scalar
+        # tile_assign fails on rows [0, 1000), which decode does not flag
+        target = hypercube_from_lin(5000, 11, 5)
+        decode = PerfectLeeCode.decode
+
+        def flag_target(self, anchor):
+            digits, slot, bad = decode(self, anchor)
+            hit = np.logical_and.reduce([a == t for a, t in zip(anchor, target)])
+            return digits, slot, bad | hit
+
+        monkeypatch.setattr(PerfectLeeCode, "decode", flag_target)
+        monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_tile_assign)
+        monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
+        report = code5.verify_perfect_packing("exhaustive")
+        assert report.violation_count == 1 + 1000
+        assert report.violations[0] == f"tile_assign broken at {target}"
+        assert report.violations[1:] == [
+            f"scalar tile_assign disagrees with decode at {hypercube_from_lin(i, 11, 5)}"
+            for i in range(9)
+        ]
+
+    @pytest.mark.parametrize("n", [8, 12])
+    def test_sampled_packing_memory_is_bounded(self, n):
+        # 10^6 rows walked in SWEEP_CHUNK pieces; decoded whole they took 65-87 MB
+        code = generator_matrix(n)
+        tracemalloc.start()
+        try:
+            report = code.verify_perfect_packing("sampled", samples=10**6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.ok and report.hypercubes_checked == 10**6
+        assert peak < 16 * 10**6
