@@ -321,16 +321,22 @@ def cmd_simulate(args, parser) -> int:
 
 
 def _csv_rows(logical: np.ndarray, physical: np.ndarray) -> np.ndarray:
-    """The bytes of the rows ``f"{l},{p}\\n"`` of two non-negative int64 columns, as uint8."""
+    """The bytes of the rows ``f"{l},{p}\\n"`` of two non-negative int64 columns, as uint8.
+
+    The text is built one character position per row of a (width, m)
+    buffer, so every write is contiguous; the rows are read out
+    row-major, leading zeros dropped, by one boolean index.
+    """
     widths = [len(str(int(v.max()))) if len(v) else 1 for v in (logical, physical)]
-    rows = np.empty((len(logical), sum(widths) + 2), dtype=np.uint8)
-    keep = np.ones(rows.shape, dtype=bool)
+    chars = np.empty((sum(widths) + 2, len(logical)), dtype=np.uint8)
+    keep = np.ones(chars.shape, dtype=bool)
     for v, w, j, sep in zip((logical, physical), widths, (0, widths[0] + 1), b",\n"):
-        np.add(digits_of(v, (10,) * w).T, ord("0"), out=rows[:, j : j + w], casting="unsafe")
+        np.add(digits_of(v, (10,) * w), ord("0"), out=chars[j : j + w], casting="unsafe")
         # a digit whose place value is above the value is a leading zero
-        keep[:, j : j + w - 1] = v[:, None] >= 10 ** np.arange(w - 1, 0, -1)
-        rows[:, j + w] = sep
-    return rows[keep]
+        for k in range(1, w):
+            np.greater_equal(v, 10**k, out=keep[j + w - 1 - k])
+        chars[j + w] = sep
+    return chars.T[keep.T]
 
 
 def cmd_export_map(args, parser) -> int:

@@ -289,7 +289,7 @@ def _draw_burst(
         else:
             centers = np.vstack([sections, np.transpose(heads)])
     # each center plus every slot offset, sphere by sphere
-    anchors = code._reduce(centers[:, :, None] + code._plus_offset[:, None, :]).reshape(n, -1)
+    anchors = code._reduce(centers[:, :, None] + code._offset_columns[:, None, :]).reshape(n, -1)
     if model == "multi-translate":  # keep the first face drawn on each hypercube
         keep = np.sort(np.unique(lin_indices(anchors, (q,) * n), return_index=True)[1])
         anchors, orientations = anchors[:, keep], orientations[keep]

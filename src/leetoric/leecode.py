@@ -148,7 +148,8 @@ class PerfectLeeCode:
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
         # The one syndrome -> slot table, read by tile_assign and decode: it
         # inverts the offsets' syndromes, a permutation of Z_q since h covers it.
-        self._slot_of = np.argsort([self.syndrome([d % q for d in off]) for off in self.offsets])
+        syndromes = [self.syndrome([d % q for d in off]) for off in self.offsets]
+        self._slot_of = np.argsort(syndromes).astype(np.int16)
         # A codeword is its digits (section, m_{n-2}, ..., m_2, m_v), the
         # big-endian base-q digits of section * q^(n-2) + rank, times these
         # rows v_{n-1}, v_{n-2}, ..., v_2, v.  The peel schedule undoes the
@@ -158,9 +159,11 @@ class PerfectLeeCode:
         self.peel = _peel_schedule(n)
         # The bulk kernel's tables.  The peel is linear mod q, so it is one
         # matrix B, row i the peel of e_i: digits = x.B mod q.  Every column
-        # sum the kernel forms stays below n q^2 + 2q (7550 at n = 12), so up
+        # sum the kernel forms has |sum| < n q^2 + 2q (7550 at n = 12), so up
         # to n = 19 the sums are int16 and mod q is one lookup in _mod; past
-        # that they are int64 and reduced by arithmetic.
+        # that they are int64 and reduced by arithmetic.  _mod's length is a
+        # multiple of q, so a negative index, which counts from its end, also
+        # lands on its residue.
         units = ([int(i == j) for j in range(n)] for i in range(n))
         self.peel_matrix = tuple(tuple(self._peel(unit)[0]) for unit in units)
         bound = n * q * q + 2 * q
@@ -169,9 +172,11 @@ class PerfectLeeCode:
         self._syndrome_terms = _terms([[h] for h in self.h], q)
         self._peel_terms = _terms(self.peel_matrix, q)
         self._row_terms = _terms(self.digit_rows, q)
-        # per-column offset tables: row i, entry b is q +- offsets[b][i]
-        columns = np.array(list(zip(*self.offsets)), dtype=np.int16)
-        self._plus_offset, self._minus_offset = q + columns, q - columns
+        # the offsets as columns, row i entry b is offsets[b][i]: slot 2i+1
+        # (_plus_slots[i]) is +e_i and slot 2i+2 (_minus_slots[i]) is -e_i
+        self._offset_columns = np.array(self.offsets, dtype=np.int16).T
+        self._plus_slots = np.arange(1, q, 2, dtype=np.int16)[:, None]
+        self._minus_slots = self._plus_slots + 1
 
     def __repr__(self) -> str:
         return f"PerfectLeeCode(n={self.n}, q={self.q})"
@@ -286,9 +291,10 @@ class PerfectLeeCode:
         digits of row i are hypercube_from_lin(j * q^(n-2) + r, q, n-1);
         not range-checked.
         """
-        sums = _sums(digits, self._row_terms, self._dtype)
-        slot = np.asarray(slot, dtype=np.intp)  # once, not once per column
-        return [self._reduce(s + plus.take(slot)) for s, plus in zip(sums, self._plus_offset)]
+        point = _sums(digits, self._row_terms, self._dtype)
+        point += slot == self._plus_slots
+        point -= slot == self._minus_slots
+        return [self._reduce(column) for column in point]
 
     def decode(
         self, anchor: Sequence[np.ndarray]
@@ -304,19 +310,25 @@ class PerfectLeeCode:
         """
         reduce, dtype = self._reduce, self._dtype
         slot = self._slot_of.take(self._syndromes(anchor))
-        x = [reduce(a + minus.take(slot)) for a, minus in zip(anchor, self._minus_offset)]
-        digits = [reduce(s) for s in _sums(x, self._peel_terms, dtype)]
-        bad = np.zeros(len(slot), dtype=bool)
-        for s, a in zip(_sums(digits, self._row_terms, dtype), x):
-            bad |= reduce(s) != a
-        return digits, slot, bad
+        # the point, left unreduced in [-1, q]: anchor minus the slot offset
+        point = np.array(anchor, dtype=dtype)
+        point -= slot == self._plus_slots
+        point += slot == self._minus_slots
+        digits = [reduce(s) for s in _sums(point, self._peel_terms, dtype)]
+        # a row is bad where some coordinate of its rest is nonzero mod q
+        rest = _sums(digits, self._row_terms, dtype)
+        rest -= point
+        bad = np.zeros(len(slot), dtype=dtype)
+        for r in rest:
+            bad |= reduce(r)
+        return digits, slot, bad != 0
 
     def _syndromes(self, x: Sequence[np.ndarray]) -> np.ndarray:
         """h.x mod q over residue columns."""
-        return self._reduce(next(_sums(x, self._syndrome_terms, self._dtype)))
+        return self._reduce(_sums(x, self._syndrome_terms, self._dtype)[0])
 
     def _reduce(self, s: np.ndarray) -> np.ndarray:
-        """s mod q for 0 <= s < n q^2 + 2q."""
+        """s mod q for -(n q^2 + 2q) <= s < n q^2 + 2q."""
         return s % self.q if self._mod is None else self._mod.take(s)
 
     # -- distance certificates -----------------------------------------
@@ -444,17 +456,17 @@ def _terms(matrix: Sequence[Sequence[int]], q: int) -> tuple[tuple[tuple[int, in
     return tuple(tuple((i, a % q) for i, a in enumerate(col) if a % q) for col in zip(*matrix))
 
 
-def _sums(columns: Sequence[np.ndarray], terms, dtype) -> Iterator[np.ndarray]:
-    """The columns times the matrix of ``terms``, unreduced: dtype columns, one at a time.
+def _sums(columns: Sequence[np.ndarray], terms, dtype) -> np.ndarray:
+    """The columns times the matrix of ``terms``, unreduced: one dtype row per column of it.
 
     A zero entry costs nothing, and an entry 1 adds its column without a
     multiply.
     """
-    for column_terms in terms:
-        acc = np.zeros(len(columns[0]), dtype=dtype)
+    out = np.zeros((len(terms), len(columns[0])), dtype=dtype)
+    for acc, column_terms in zip(out, terms):
         for i, a in column_terms:
             acc += columns[i] if a == 1 else np.multiply(columns[i], a, dtype=dtype)
-        yield acc
+    return out
 
 
 def generator_matrix(n: int) -> PerfectLeeCode:

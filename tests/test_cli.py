@@ -563,11 +563,21 @@ class TestCsvRows:
         for value in self.EDGES:
             assert_csv_rows([value], [value])
         assert_csv_rows([], [])
+        empty = _csv_rows(np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64))
+        assert empty.dtype == np.uint8 and empty.shape == (0,)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.integers(0, 2**63 - 1), st.integers(0, 2**63 - 1)), max_size=40))
     def test_matches_f_strings(self, pairs):
         assert_csv_rows([l for l, _ in pairs], [p for _, p in pairs])
+
+    def test_widths_change_inside_one_piece(self):
+        # the real n = 5 map across logical 10^6: one piece, rows of both widths
+        map_ = InterleavingMap(generator_matrix(5))
+        logical = np.arange(999_000, 1_001_000, dtype=np.int64)
+        physical = map_.forward_indices(logical)
+        assert len({len(str(p)) for p in physical.tolist()}) > 1
+        assert_csv_rows(logical.tolist(), physical.tolist())
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_last_logical_indices(self, n):

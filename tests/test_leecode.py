@@ -11,6 +11,7 @@ from leetoric.lattice import (
     determinant,
     digits_of,
     hypercube_from_lin,
+    hypercube_lin_index,
     lee_distance,
     lin_indices,
     mannheim_weight,
@@ -306,7 +307,7 @@ class TestBulkKernel:
                 bad_code.tile_assign(zt)
 
 
-CODES = {n: generator_matrix(n) for n in range(5, 13)}
+CODES = {n: generator_matrix(n) for n in range(5, 21)}
 
 
 class TestBulkKernelProperty:
@@ -337,14 +338,69 @@ class TestBulkKernelProperty:
             offset = code.offsets[code._slot_of[s]]
             assert code.syndrome([d % q for d in offset]) == s
 
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(5, 20), data=st.data())
+    def test_digit_columns_in_every_dimension(self, n, data):
+        # digits drawn as columns, with no int64 index in between, so this
+        # reaches n = 13..19 on int16 columns and n = 20 on int64
+        code = CODES[n]
+        q = code.q
+        rows = data.draw(st.lists(
+            st.tuples(st.lists(st.integers(0, q - 1), min_size=n - 1, max_size=n - 1),
+                      st.integers(0, q - 1)),
+            max_size=20,
+        ))
+        # every digit at its largest, and every digit zero, in the last slot
+        rows += [([q - 1] * (n - 1), q - 1), ([0] * (n - 1), q - 1), ([q - 1] * (n - 1), 0)]
+        digits = np.array([d for d, _ in rows], dtype=np.int16).T
+        slot = np.array([s for _, s in rows], dtype=np.int16)
+        anchor = code.encode(digits, slot)
+        for (d, s), row in zip(rows, zip(*(c.tolist() for c in anchor))):
+            point = code.codeword_from_rank(d[0], hypercube_lin_index(d[1:], q)).point
+            assert row == tuple((c + o) % q for c, o in zip(point, code.offsets[s]))
+        back = code.decode(anchor)
+        assert np.array_equal(np.array(back[0]), digits)
+        assert np.array_equal(back[1], slot)
+        assert not back[2].any()
+
 
 class TestColumnBound:
-    """The kernel's largest column sums, below n q^2 + 2q.
+    """The kernel's column sums, of magnitude below n q^2 + 2q.
 
     n = 12 is the largest dimension of the bulk maps, 19 the last whose
     sums fit int16, 20 the first that runs on int64 sums, and 91 the first
     where a product of two residues passes int16.
     """
+
+    def test_int16_runs_up_to_n19(self):
+        assert CODES[19]._dtype is np.int16
+        assert CODES[20]._dtype is np.int64 and CODES[20]._mod is None
+
+    @pytest.mark.parametrize("n", range(5, 20))
+    def test_every_reduction_stays_in_the_table(self, n):
+        # The extreme sums each reduction is given, from its terms and the
+        # range of its inputs: anchors and digits are residues, the decoded
+        # point is in [-1, q], and a slot offset moves a coordinate by 1.
+        code = CODES[n]
+        q, size = code.q, len(code._mod)
+
+        def extremes(terms, lo, hi):
+            weights = [sum(a for _, a in column) for column in terms]
+            return min(lo * w for w in weights), max(hi * w for w in weights)
+
+        lo, hi = extremes(code._row_terms, 0, q - 1)
+        received = {
+            "syndrome": extremes(code._syndrome_terms, 0, q - 1),
+            "encode": (lo - 1, hi + 1),
+            "peel": extremes(code._peel_terms, -1, q),
+            "rest": (lo - q, hi + 1),
+        }
+        # a negative index counts from the table's end, a multiple of q
+        assert size % q == 0 and size < 2**15
+        for name, (low, high) in received.items():
+            assert -size <= low and high < size, name
+            got = code._reduce(np.array([low, high], dtype=np.int16))
+            assert got.tolist() == [low % q, high % q], name
 
     @pytest.mark.parametrize("n", [12, 19, 20, 91])
     def test_decode_extreme_anchors_match_tile_assign(self, n):
