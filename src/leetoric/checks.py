@@ -1,8 +1,9 @@
 """Named verification checks behind the CLI verify command.
 
 Each check is timed and reports pass/fail with a human-readable detail
-string (the failing witness, when there is one).  Exhaustive mode is
-only feasible at n = 5; larger dimensions use seeded sampling.
+string (the failing witness, when there is one).  Exhaustive mode runs
+at n <= 6, larger dimensions use seeded sampling, and the round trip
+runs on the interleaver's digit rows.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ def run_verification(
     """Run the full battery of construction checks for dimension n.
 
     Raises ValueError before any check runs if the mode is unknown,
-    exhaustive at n != 5, samples < 1, the seed is negative or the bulk
+    exhaustive at n >= 7, samples < 1, the seed is negative or the bulk
     map checks would overflow int64 (n >= 13).
     """
     check_verification_rules(n, mode, samples, seed)
@@ -159,27 +160,32 @@ def _check_packing(code, map_, mode, samples, seed):
 
 
 def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
-    """Round trip and section confinement from one forward + inverse pass.
+    """Round trip and section confinement from one forward + inverse pass on digit rows.
 
-    inverse_indices rebuilds i from the decoded section and orientation,
-    so confinement holds iff those digits of inverse(forward(i)) are i's;
-    a face off every codeword sphere inverts to -1 and fails both checks.
+    forward_indices and inverse_indices compose these rows unchecked, so a face digit
+    outside its radix aborts both.  Confinement holds iff the section and orientation
+    rows of inverse(forward(i)) are i's; a bad face fails both checks.
     """
-    total, q, alpha = map_.n_faces, code.q, code.alpha
-    section = total // q  # logical indices per section
+    total = map_.n_faces
     # sampled confinement reads a prefix of the round trip's draws: the first k
     k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
     trip = leak = None  # the first failure of each check
     for start, idx in sweep(total, mode, samples, seed):
-        fwd = map_.forward_indices(idx)
-        back = map_.inverse_indices(fwd)
+        logical = digits_of(idx, map_.logical_radices)
+        rows = map_.forward_digits(logical)  # the face's digit rows, then the logical ones back
+        for d, (row, radix) in enumerate(zip(rows, map_.face_radices)):
+            if row.min() < 0 or row.max() >= radix:
+                i = np.flatnonzero((row < 0) | (row >= radix))[0]
+                raise ValueError(f"face digit {d} of logical index {idx[i]} is {row[i]},"
+                                 f" out of range [0, {radix})")
+        rows, bad = map_.inverse_digits(rows)
+        moved = bad | (rows[0] != logical[0])
         if trip is None:
-            miss = np.flatnonzero(back != idx)
+            miss = np.flatnonzero(moved | np.not_equal(rows[1:], logical[1:]).any(axis=0))
             if len(miss):
                 trip = f"round-trip mismatch at logical index {idx[miss[0]]}"
         head = max(k - start, 0)
-        moved = back[:head] // section != idx[:head] // section
-        fail = np.flatnonzero(moved | (back[:head] // q % alpha != idx[:head] // q % alpha))
+        fail = np.flatnonzero(moved[:head] | (rows[-2][:head] != logical[-2][:head]))
         if leak is None and len(fail):
             addr = map_.logical_from_lin(int(idx[fail[0]]))
             leak = (f"orientation changed at {addr}" if not moved[fail[0]]

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
@@ -143,17 +144,28 @@ class InterleavingMap:
 
     # -- bulk (vectorized) form --------------------------------------------
 
+    def forward_digits(self, logical: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """forward_index on digit rows: n anchor rows and the orientation row, unchecked.
+
+        Logical digits are (section, block, m_{n-2}, ..., m_2, o, p): block is the
+        slot and p is the host's last digit m_v, so moving them gives the host's digits.
+        """
+        section, slot, *middle, o, p = logical
+        return [*self.code.encode([section, *middle, p], slot), o]
+
+    def inverse_digits(self, face: Sequence[np.ndarray]) -> tuple[list[np.ndarray], np.ndarray]:
+        """inverse_index on digit rows: (logical digit rows, bad), bad as decode's."""
+        *anchor, o = face
+        (section, *middle, p), slot, bad = self.code.decode(anchor)
+        return [section, slot, *middle, o, p], bad
+
     def forward_indices(self, logical: np.ndarray) -> np.ndarray:
         """Vectorized forward_index over an int64 array of logical indices.
 
-        Its digits over logical_radices are (section, block, m_{n-2}, ...,
-        m_2, o, p); block is the slot and p is the host's last digit m_v,
-        so moving them gives the host's digits.  An index outside
-        [0, n_faces) raises forward_index's ValueError.
+        An index outside [0, n_faces) raises forward_index's ValueError.
         """
-        logical = self._check_indices(logical, "logical")
-        section, slot, *middle, o, p = digits_of(logical, self.logical_radices)
-        return lin_indices([*self.code.encode([section, *middle, p], slot), o], self.face_radices)
+        digits = digits_of(self._check_indices(logical, "logical"), self.logical_radices)
+        return lin_indices(self.forward_digits(digits), self.face_radices)
 
     def inverse_indices(self, physical: np.ndarray) -> np.ndarray:
         """Vectorized inverse_index over an int64 array of face indices.
@@ -163,9 +175,8 @@ class InterleavingMap:
         sphere, which only a corrupted code has, maps to -1.
         """
         physical = self._check_indices(physical, "face")
-        *anchor, o = digits_of(physical, self.face_radices)
-        (section, *middle, p), slot, bad = self.code.decode(anchor)
-        logical = lin_indices([section, slot, *middle, o, p], self.logical_radices)
+        digits, bad = self.inverse_digits(digits_of(physical, self.face_radices))
+        logical = lin_indices(digits, self.logical_radices)
         logical[bad] = -1
         return logical
 

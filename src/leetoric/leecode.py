@@ -435,11 +435,11 @@ class PackingReport:
 
 
 def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None:
-    """ValueError unless mode is known, exhaustive only at n = 5, samples >= 1, seed >= 0."""
+    """ValueError unless mode is known, exhaustive only at n <= 6, samples >= 1, seed >= 0."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
-    if mode == "exhaustive" and n != 5:
-        raise ValueError("exhaustive verification is only supported for n = 5; use --mode sampled")
+    if mode == "exhaustive" and n > 6:
+        raise ValueError("exhaustive verification is only supported for n <= 6; use --mode sampled")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if seed < 0:

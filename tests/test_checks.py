@@ -12,7 +12,7 @@ from leetoric.checks import (
     run_verification,
 )
 from leetoric.interleave import InterleavingMap
-from leetoric.lattice import determinant, digits_of
+from leetoric.lattice import determinant, digits_of, lin_indices
 from leetoric.leecode import (
     SWEEP_CHUNK,
     PerfectLeeCode,
@@ -103,13 +103,12 @@ class TestRunVerification:
             run_verification(5, mode, samples=samples)
         assert str(exc.value) == f"samples must be >= 1, got {samples}"
 
-    @pytest.mark.parametrize("n", [6, 7, 13])
+    @pytest.mark.parametrize("n", [7, 13])
     def test_rejects_exhaustive_above_n5(self, n):
-        # at n = 7 the packing sweep alone would build a 15^7-row array
         with pytest.raises(ValueError) as exc:
             run_verification(n, "exhaustive")
         assert str(exc.value) == (
-            "exhaustive verification is only supported for n = 5; use --mode sampled"
+            "exhaustive verification is only supported for n <= 6; use --mode sampled"
         )
 
 
@@ -151,6 +150,25 @@ class TestFaultsFailTheirCheck:
             assert not rows[name].ok, name
         for name in ("determinant", "orthogonality", "residue_coverage", "min_distance"):
             assert rows[name].ok, name
+
+    def test_encode_outside_the_radix_fails_roundtrip(self, monkeypatch, map5):
+        # q in place of 0 on the last anchor row: decode reduces it back to 0, so
+        # the digit round trip holds, while the composed export index is another face
+        draws = np.random.default_rng(0).integers(0, map5.n_faces, size=2000)
+        first = draws[map5.forward_indices(draws) // map5.alpha % map5.q == 0][0]
+        encode = PerfectLeeCode.encode
+
+        def wrapped(self, digits, slot):
+            anchor = encode(self, digits, slot)
+            anchor[-1] = np.where(anchor[-1] == 0, self.q, anchor[-1])
+            return anchor
+
+        monkeypatch.setattr(PerfectLeeCode, "encode", wrapped)
+        rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=map5.code)}
+        assert not rows["roundtrip"].ok
+        assert rows["roundtrip"].detail == (
+            f"check aborted: face digit 4 of logical index {first} is 11, out of range [0, 11)"
+        )
 
 
 
@@ -219,14 +237,16 @@ class TestSweepPieces:
         target = draws[position]
         # the fault moves one logical index, first drawn at position
         assert draws.index(target) == position
-        inverse = InterleavingMap.inverse_indices
+        inverse = InterleavingMap.inverse_digits
 
-        def moved(self, physical):
+        def moved(self, face):
             # the target comes back one section further on
-            back = inverse(self, physical)
-            return np.where(back == target, (back + self.n_faces // self.q) % self.n_faces, back)
+            back, bad = inverse(self, face)
+            hit = lin_indices(back, self.logical_radices) == target
+            back[0] = np.where(hit, (back[0] + 1) % self.q, back[0])
+            return back, bad
 
-        monkeypatch.setattr(InterleavingMap, "inverse_indices", moved)
+        monkeypatch.setattr(InterleavingMap, "inverse_digits", moved)
         (trip_ok, trip), (leak_ok, leak) = _check_roundtrip_and_section_confinement(
             map5.code, map5, "sampled", samples, seed
         )

@@ -139,13 +139,14 @@ class TestVerify:
         ids=["n5-exhaustive", "n6-sampled"],
     )
     def test_map_fault_fails_map_checks(self, capsys, monkeypatch, argv):
-        forward = InterleavingMap.forward_indices
+        forward = InterleavingMap.forward_digits
 
         def shifted(self, logical):
             # one section further on: a bijection, but not the interleaver
-            return (forward(self, logical) + self.alpha * self.q ** (self.n - 1)) % self.n_faces
+            first, *rest = forward(self, logical)
+            return [(first + 1) % self.q, *rest]
 
-        monkeypatch.setattr(InterleavingMap, "forward_indices", shifted)
+        monkeypatch.setattr(InterleavingMap, "forward_digits", shifted)
         code, out, _ = run(capsys, "verify", *argv, "--format", "json")
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -154,12 +155,18 @@ class TestVerify:
         assert not checks["section_confinement"]["ok"]
         assert "leaves section" in checks["section_confinement"]["detail"]
 
-    def test_out_of_range_forward_aborts_roundtrip_and_confinement(self, capsys, monkeypatch):
-        forward = InterleavingMap.forward_indices
-        # off the end by n_faces: an inverse that wrapped would land on the same address
-        monkeypatch.setattr(
-            InterleavingMap, "forward_indices", lambda self, i: forward(self, i) + self.n_faces
-        )
+    def test_out_of_range_forward_aborts_roundtrip_and_confinement(self, capsys, monkeypatch, map5):
+        first = int(np.random.default_rng(0).integers(0, map5.n_faces))  # the first sampled index
+        digit = map5.forward_index(first) // (map5.n_faces // map5.q) + map5.q
+        forward = InterleavingMap.forward_digits
+
+        def off_the_end(self, logical):
+            # the first anchor row plus q is the face index plus n_faces: an
+            # inverse that reduced it would land on the same address
+            first_row, *rest = forward(self, logical)
+            return [first_row + self.q, *rest]
+
+        monkeypatch.setattr(InterleavingMap, "forward_digits", off_the_end)
         code, out, _ = run(
             capsys, "verify", "--n", "5", "--mode", "sampled", "--samples", "2000",
             "--format", "json",
@@ -168,18 +175,20 @@ class TestVerify:
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
         for name in ("roundtrip", "section_confinement"):
             assert not checks[name]["ok"]
-            assert checks[name]["detail"].startswith("check aborted: face index ")
-            assert checks[name]["detail"].endswith(" out of range [0, 1610510)")
+            assert checks[name]["detail"] == (
+                f"check aborted: face digit 0 of logical index {first} is {digit},"
+                " out of range [0, 11)"
+            )
 
     def test_orientation_fault_fails_confinement(self, capsys, monkeypatch):
-        forward = InterleavingMap.forward_indices
+        forward = InterleavingMap.forward_digits
 
         def turned(self, logical):
             # same hypercube, next orientation: a bijection that stays in section
-            fwd = forward(self, logical)
-            return fwd - fwd % self.alpha + (fwd + 1) % self.alpha
+            *anchor, orientation = forward(self, logical)
+            return [*anchor, (orientation + 1) % self.alpha]
 
-        monkeypatch.setattr(InterleavingMap, "forward_indices", turned)
+        monkeypatch.setattr(InterleavingMap, "forward_digits", turned)
         code, out, _ = run(capsys, "verify", "--n", "5", "--format", "json")
         assert code == 1
         checks = {c["name"]: c for c in json.loads(out)["checks"]}
@@ -259,8 +268,9 @@ class TestVerify:
 
     def test_exhaustive_rejected_above_n5(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "6", "--mode", "exhaustive"])
+            main(["verify", "--n", "7", "--mode", "exhaustive"])
         assert exc.value.code == 2
+        assert "exhaustive verification is only supported for n <= 6" in capsys.readouterr().err
 
     def test_sampled_defaults_for_larger_n(self, capsys):
         code, out, _ = run(

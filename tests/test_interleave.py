@@ -21,7 +21,7 @@ from leetoric.interleave import (
     simulate,
     trial_rng,
 )
-from leetoric.lattice import digits_of, lee_distance
+from leetoric.lattice import digits_of, lee_distance, lin_indices
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
 from leetoric.toric import face_from_lin
 
@@ -35,6 +35,9 @@ def logical_index(map_, section, rank, orientation, position):
 
 def anchors(burst):
     return [face_from_lin(f, 5, 11)[0] for f in burst.faces]
+
+
+MAPS = {n: InterleavingMap(generator_matrix(n)) for n in range(5, 13)}
 
 
 class TestInterleavedParams:
@@ -146,6 +149,22 @@ class TestBulkMap:
         fwd = map_.forward_indices(idx)
         assert [int(f) for f in fwd] == [map_.forward_index(int(i)) for i in idx]
         assert np.array_equal(map_.inverse_indices(fwd), idx)
+
+    @settings(max_examples=80, deadline=None)
+    @given(n=st.integers(5, 12), data=st.data())
+    def test_index_forms_compose_the_digit_forms(self, n, data):
+        map_ = MAPS[n]
+        idx = np.array(data.draw(st.lists(st.integers(0, map_.n_faces - 1), max_size=20))
+                       + [0, map_.n_faces - 1], dtype=np.int64)
+        fwd = map_.forward_indices(idx)
+        face = map_.forward_digits(digits_of(idx, map_.logical_radices))
+        assert np.array_equal(fwd, lin_indices(face, map_.face_radices))
+        assert fwd.tolist() == [map_.forward_index(i) for i in idx.tolist()]
+        logical, bad = map_.inverse_digits(digits_of(fwd, map_.face_radices))
+        assert not bad.any()
+        back = map_.inverse_indices(fwd)
+        assert np.array_equal(back, lin_indices(logical, map_.logical_radices))
+        assert back.tolist() == [map_.inverse_index(f) for f in fwd.tolist()] == idx.tolist()
 
     def test_bulk_rejects_int64_overflow(self):
         map13 = InterleavingMap(generator_matrix(13))
@@ -440,9 +459,6 @@ def oracle_simulate(map_, model, trials, master_seed=0, count=None):
         mean_tally=total_errors / total_blocks if total_blocks else 0.0,
         tally_histogram=histogram,
     )
-
-
-MAPS = {n: InterleavingMap(generator_matrix(n)) for n in (5, 6, 7)}
 
 
 class TestBatchKernelExactness:

@@ -297,6 +297,10 @@ class TestMixedRadix:
         (17,) * 7 + (28, 17),  # the logical layout at n = 8
         (17,) * 8 + (28,),  # the face layout at n = 8
         (11,) * 4 + (10, 11),
+        # the logical and face layouts at n = 6: orientation never enters the
+        # kernel, so this split and compose carry the orientation half of confinement
+        (13,) * 5 + (15, 13),
+        (13,) * 6 + (15,),
     ])
     def test_fixed_radices(self, radices):
         check_mixed_radix(radices, range(0, math.prod(radices), math.prod(radices) // 997 + 1))

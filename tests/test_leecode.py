@@ -498,10 +498,10 @@ class TestPerfectPacking:
         (5, ("sampled", 0, 0), "samples must be >= 1, got 0"),
         (5, ("sampled", 10, -1), "seed must be >= 0, got -1"),
         (7, ("exhaustive", 10, 0),
-         "exhaustive verification is only supported for n = 5; use --mode sampled"),
+         "exhaustive verification is only supported for n <= 6; use --mode sampled"),
     ], ids=["zero-samples", "negative-seed", "exhaustive-n7"])
     def test_run_verification_rules_hold(self, code_n, args, message):
-        # checked before any hypercube is built: n=7 exhaustive would take ~10 GB
+        # checked before any hypercube is built
         with pytest.raises(ValueError) as exc:
             generator_matrix(code_n).verify_perfect_packing(*args)
         assert str(exc.value) == message
