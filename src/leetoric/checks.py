@@ -9,7 +9,7 @@ runs on the interleaver's digit rows.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -20,8 +20,7 @@ from .leecode import SCALAR_ROWS, PerfectLeeCode, check_verification_rules, gene
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
 
-@dataclass
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     ok: bool
     detail: str

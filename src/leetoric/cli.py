@@ -14,7 +14,6 @@ import csv
 import json
 import sys
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -184,7 +183,7 @@ def cmd_verify(args, parser) -> int:
         # the first middle row v_2 gets +1 on its last coordinate
         gens = build_generators(args.n)
         fault = gens.middle[0][:-1] + (gens.middle[0][-1] + 1,)
-        code = PerfectLeeCode(replace(gens, middle=(fault,) + gens.middle[1:]))
+        code = PerfectLeeCode(gens._replace(middle=(fault,) + gens.middle[1:]))
     results = run_verification(args.n, mode, samples=args.samples, seed=args.seed, code=code)
     all_ok = all(r.ok for r in results)
     if args.format == "json":

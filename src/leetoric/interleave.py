@@ -13,9 +13,8 @@ left with at most the single error the component code can correct.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -25,13 +24,13 @@ from .toric import face_from_lin
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
 INT64_MAX = np.iinfo(np.int64).max
-# simulate tallies bursts in chunks of about this many faces; larger chunks
-# cost peak memory and gain little
+# simulate places and tallies bursts in chunks of about this many faces; larger
+# chunks cost peak memory and gain little (8192 raised the montecarlo peak RSS
+# from 36.5 to 37.7 MB)
 CHUNK_FACES = 1024
 
 
-@dataclass(frozen=True)
-class LogicalAddress:
+class LogicalAddress(NamedTuple):
     """One logical qubit slot in the pre-interleave stream."""
 
     section: int
@@ -40,8 +39,7 @@ class LogicalAddress:
     position: int
 
 
-@dataclass(frozen=True)
-class InterleavedParams:
+class InterleavedParams(NamedTuple):
     """Parameters of the interleaved code over the whole q^n lattice."""
 
     n: int
@@ -196,8 +194,7 @@ class InterleavingMap:
         return idx.astype(np.int64, copy=False)
 
 
-@dataclass(frozen=True)
-class BurstPattern:
+class BurstPattern(NamedTuple):
     """A set of errored faces, as face indices, produced by one of the burst models."""
 
     model: str
@@ -205,8 +202,7 @@ class BurstPattern:
     centers: tuple[IntVector, ...]
 
 
-@dataclass
-class CorrectionReport:
+class CorrectionReport(NamedTuple):
     """Per-logical-codeword error census after deinterleaving."""
 
     counts: dict[tuple[int, int], int]
@@ -233,13 +229,13 @@ def make_burst(
     The input rules are checked here, before anything is drawn: a known
     model, a count in [0, n_faces] for uniform-random and for no other
     model, and draws that fit in int64 (uniform-random needs n <= 12,
-    aligned n <= 14).  A broken rule raises ValueError.  This is the
-    one-trial view of the draw that ``simulate`` runs in batches.
+    aligned n <= 14).  A broken rule raises ValueError.  This is
+    ``simulate``'s per-trial draw and chunk kernel run for one trial.
     """
     _check_burst_rules(map_, model, count)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
-    anchors, orientations, centers = _draw_burst(map_, model, rng, count)
+    anchors, orientations, centers, _ = _place(map_, model, [_draw(map_, model, rng, count)])
     faces = frozenset(
         hypercube_lin_index(a, map_.q) * map_.alpha + o
         for a, o in zip(zip(*anchors.tolist()), orientations.tolist())
@@ -267,44 +263,74 @@ def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> 
         )
 
 
-def _draw_burst(
+def _draw(
     map_: InterleavingMap, model: str, rng: np.random.Generator, count: int | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One burst: (anchors, orientations (k,), centers), anchors and centers as columns.
+) -> tuple[list, list]:
+    """The rng calls of one burst, as (heads, orientations), two lists of draws.
 
-    anchors is (n, k) and centers (n, spheres), one row per coordinate.
-
-    The rng calls, with their bounds, sizes and order, define the models
-    of make_burst.  A sphere model draws its center (aligned: a rank),
-    then q orientations, sphere by sphere; aligned makes its orientation
-    draws too, though only make_burst reads them.
+    The calls, with their bounds, sizes and order, define the models of
+    make_burst.  uniform-random draws its face indices, its one head.  A
+    sphere model draws its center (aligned: a rank), then q orientations,
+    sphere by sphere; aligned makes its orientation draws too, though
+    only make_burst reads them.
     """
     code, n, q = map_.code, map_.n, map_.q
     if model == "uniform-random":
-        digits = digits_of(_sample_distinct(rng, map_.n_faces, count), map_.face_radices)
-        return digits[:-1], digits[-1], np.empty((n, 0), dtype=np.int16)
-    if model == "translate":
-        centers = rng.integers(0, q, size=n)[:, None]
-        orientations = rng.integers(0, code.alpha, size=q)
+        return [_sample_distinct(rng, map_.n_faces, count)], []
+    if model == "translate":  # the center, then the orientations
+        return [rng.integers(0, q, size=n)], [rng.integers(0, code.alpha, size=q)]
+    bound, size = (code.codewords_per_section, None) if model == "aligned" else (q, n - 1)
+    heads, orientations = [], []
+    for _ in range(q):
+        heads.append(rng.integers(0, bound, size=size))
+        orientations.append(rng.integers(0, code.alpha, size=q))
+    return heads, orientations
+
+
+def _place(
+    map_: InterleavingMap, model: str, draws: Sequence[tuple[list, list]]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The faces of a chunk of bursts, one _draw each: (anchors, orientations, centers, owner).
+
+    anchors is (n, k) and centers (n, spheres), one row per coordinate;
+    face i is in burst owner[i], and each burst's faces and centers keep
+    their draw order.
+    """
+    code, n, q = map_.code, map_.n, map_.q
+    heads = [head for trial, _ in draws for head in trial]
+    if model == "uniform-random":
+        digits = digits_of(np.concatenate(heads), map_.face_radices)
+        anchors, orientations, centers = digits[:-1], digits[-1], np.empty((n, 0), np.int16)
     else:
-        bound, size = (code.codewords_per_section, None) if model == "aligned" else (q, n - 1)
-        heads, orientations = [], []
-        for _ in range(q):
-            heads.append(rng.integers(0, bound, size=size))
-            orientations.append(rng.integers(0, code.alpha, size=q))
-        orientations = np.concatenate(orientations)
-        sections = np.arange(q, dtype=np.int16)
+        orientations = np.concatenate([o for _, trial in draws for o in trial])
+        sections = np.tile(np.arange(q, dtype=np.int16), len(draws))
         if model == "aligned":
             ranks = digits_of(np.array(heads, dtype=np.int64), (q,) * (n - 2))
-            centers = np.array(code.encode([sections, *ranks], np.zeros(q, dtype=np.intp)))
-        else:
-            centers = np.vstack([sections, np.transpose(heads)])
-    # each center plus every slot offset, sphere by sphere
-    anchors = code._reduce(centers[:, :, None] + code._offset_columns[:, None, :]).reshape(n, -1)
-    if model == "multi-translate":  # keep the first face drawn on each hypercube
-        keep = np.sort(np.unique(lin_indices(anchors, (q,) * n), return_index=True)[1])
-        anchors, orientations = anchors[:, keep], orientations[keep]
-    return anchors, orientations, centers
+            centers = np.array(code.encode([sections, *ranks], np.zeros_like(sections)))
+        else:  # the heads are whole centers (translate) or all but the section
+            centers = np.concatenate(heads).reshape(len(heads), -1).T
+            if model == "multi-translate":
+                centers = np.vstack([sections, centers])
+        # each center plus every slot offset, sphere by sphere
+        anchors = code._reduce(centers[:, :, None] + code._offset_columns[:, None, :])
+        anchors = anchors.reshape(n, -1)
+    owner = np.repeat(np.arange(len(draws)), anchors.shape[1] // len(draws))
+    if model == "multi-translate":  # keep the first face drawn on each hypercube of a burst
+        order, starts = _runs([*anchors, owner], max(q, len(draws)))
+        keep = np.sort(order[starts])
+        anchors, orientations, owner = anchors[:, keep], orientations[keep], owner[keep]
+    return anchors, orientations, centers, owner
+
+
+def _runs(rows: Sequence[np.ndarray], top: int) -> tuple[np.ndarray, np.ndarray]:
+    """(order, starts): the stable lexsort of int columns in [0, top], and where its runs start."""
+    # lexsort sorts on the last row first, and far faster on narrow ints
+    keys = np.array(rows, dtype=np.min_scalar_type(top))
+    order = np.lexsort(keys)
+    starts = np.arange(len(order)) == 0  # the first column starts a run
+    for key in keys.take(order, axis=1):
+        starts[1:] |= key[1:] != key[:-1]
+    return order, np.flatnonzero(starts)
 
 
 def _sample_distinct(rng: np.random.Generator, total: int, k: int) -> np.ndarray:
@@ -340,8 +366,7 @@ def deinterleave_and_correct(
     return CorrectionReport(counts, not witnesses, witnesses)
 
 
-@dataclass
-class SimulationStats:
+class SimulationStats(NamedTuple):
     """Aggregated Monte Carlo results; deterministic given the inputs."""
 
     n: int
@@ -360,7 +385,7 @@ class SimulationStats:
 
     def to_dict(self) -> dict:
         histogram = {str(k): v for k, v in sorted(self.tally_histogram.items())}
-        return {**asdict(self), "tally_histogram": histogram}
+        return {**self._asdict(), "tally_histogram": histogram}
 
 
 def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
@@ -380,8 +405,9 @@ def simulate(
     Each trial draws its own RNG from (master_seed, trial index), so the
     aggregate is independent of execution order and safe to partition
     across workers.  The trials, the seed (>= 0) and the input rules are
-    checked before any burst is drawn.  Bursts are tallied in chunks of
-    about CHUNK_FACES faces; the result equals a loop of make_burst and
+    checked before any burst is drawn.  A trial makes only its rng calls;
+    the bursts are placed and tallied in chunks of about CHUNK_FACES
+    faces, and the result equals a loop of make_burst and
     deinterleave_and_correct over the same trials.
     """
     if trials < 1:
@@ -391,20 +417,18 @@ def simulate(
     _check_burst_rules(map_, model, count)
     successes = max_errors = 0
     histogram: dict[int, int] = {}
-    bursts: list[np.ndarray] = []
-    faces = 0
-    for trial in range(trials):
-        bursts.append(_draw_burst(map_, model, trial_rng(master_seed, trial), count)[0])
-        faces += bursts[-1].shape[1]
-        if faces < CHUNK_FACES and len(bursts) < CHUNK_FACES and trial < trials - 1:
-            continue
-        worst, tallies = _tally(map_.code, bursts)
+    drawn = {"translate": map_.q, "uniform-random": count}.get(model, map_.q**2)
+    per_chunk = -(-CHUNK_FACES // max(drawn, 1))  # trials drawing about CHUNK_FACES faces
+    for first in range(0, trials, per_chunk):
+        bursts = range(first, min(first + per_chunk, trials))
+        draws = [_draw(map_, model, trial_rng(master_seed, trial), count) for trial in bursts]
+        anchors, _, _, owner = _place(map_, model, draws)
+        worst, tallies = _tally(map_.code, anchors, owner, len(bursts))
         successes += int(np.count_nonzero(worst <= 1))
-        max_errors = max(max_errors, max(burst.shape[1] for burst in bursts))
+        max_errors = max(max_errors, int(np.bincount(owner, minlength=len(bursts)).max()))
         for tally, blocks in enumerate(np.bincount(tallies).tolist()):
             if blocks:
                 histogram[tally] = histogram.get(tally, 0) + blocks
-        bursts, faces = [], 0
     blocks = sum(histogram.values())
     return SimulationStats(
         n=map_.n,
@@ -423,8 +447,10 @@ def simulate(
     )
 
 
-def _tally(code: PerfectLeeCode, bursts: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray]:
-    """(worst tally per burst, every nonzero tally) of a chunk of bursts.
+def _tally(
+    code: PerfectLeeCode, anchors: np.ndarray, owner: np.ndarray, bursts: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(worst tally per burst, every nonzero tally) of a chunk's faces, face i in burst owner[i].
 
     A face's logical codeword is (section, rank) with rank = slot *
     q^(n-3) + its host's digits m_{n-2}, ..., m_2 read in base q, so it is
@@ -432,20 +458,12 @@ def _tally(code: PerfectLeeCode, bursts: list[np.ndarray]) -> tuple[np.ndarray, 
     combined key to overflow at large n.  A face on no codeword sphere,
     which only a corrupted code has, raises ValueError.
     """
-    anchors = np.concatenate(bursts, axis=1)
     digits, slot, bad = code.decode(anchors)
     if bad.any():
         first = tuple(anchors[:, bad.argmax()].tolist())
         raise ValueError(f"face anchor {first} is on no codeword sphere")
-    owner = np.repeat(np.arange(len(bursts)), [burst.shape[1] for burst in bursts])
-    # lexsort sorts on the last row first, and far faster on narrow ints
-    keys = np.stack(digits[:-1] + [slot, owner])
-    keys = keys.astype(np.min_scalar_type(max(code.q, len(bursts))))
-    keys = keys[:, np.lexsort(keys)]
-    first = np.ones(keys.shape[1], dtype=bool)
-    first[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
-    first = np.flatnonzero(first)
-    tallies = np.diff(first, append=keys.shape[1])
-    worst = np.zeros(len(bursts), dtype=np.int64)
-    np.maximum.at(worst, keys[-1, first], tallies)
+    order, starts = _runs(digits[:-1] + [slot, owner], max(code.q, bursts))
+    tallies = np.diff(starts, append=len(order))
+    worst = np.zeros(bursts, dtype=np.int64)
+    np.maximum.at(worst, owner[order[starts]], tallies)
     return worst, tallies

@@ -14,8 +14,7 @@ reference; ``encode``/``decode`` are their bulk kernel on int16 columns.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -36,6 +35,8 @@ from .lattice import (
 SWEEP_CHUNK = 1 << 16
 # the bulk certificates check this many first rows of a sweep against the scalar oracle
 SCALAR_ROWS = 1000
+# a PackingReport stores the first this many violations
+_MAX_VIOLATIONS = 10
 
 
 def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[int, np.ndarray]]:
@@ -65,8 +66,7 @@ def check_functional(n: int) -> IntVector:
     return tuple(range(1, n + 1))
 
 
-@dataclass(frozen=True)
-class GeneratorSet:
+class GeneratorSet(NamedTuple):
     """The n generator rows of the code lattice.
 
     ``middle`` holds v_2 ... v_{n-2}; v_k has ones exactly at positions
@@ -104,8 +104,7 @@ def build_generators(n: int) -> GeneratorSet:
     return GeneratorSet(n, q, v, v1, tuple(middle), v_last)
 
 
-@dataclass(frozen=True)
-class Codeword:
+class Codeword(NamedTuple):
     """A codeword point with its cross-section label and in-section rank."""
 
     point: IntVector
@@ -113,8 +112,7 @@ class Codeword:
     rank: int
 
 
-@dataclass(frozen=True)
-class MinDistanceResult:
+class MinDistanceResult(NamedTuple):
     """Outcome of the bounded-radius minimum-distance search.
 
     When ``exact`` is False no codeword of weight <= radius_cap exists
@@ -378,21 +376,21 @@ class PerfectLeeCode:
         """
         check_verification_rules(self.n, mode, samples, seed)
         n, q = self.n, self.q
-        report = PackingReport(n=n, q=q, mode=mode)
-        exhaustive, wrong = mode == "exhaustive", []
+        exhaustive, wrong, violations = mode == "exhaustive", [], []
+        checked = placed = count = 0
         for start, z in sweep(q**n if exhaustive else q, mode, samples, seed, (n,)):
             # an exhaustive piece is hypercube indices, a sampled one rows of n
             # digits; either becomes n int16 columns, and the int64 piece is freed
             z = digits_of(z, (q,) * n) if exhaustive else z.T.astype(np.int16, order="C")
-            report.hypercubes_checked += z.shape[1]
+            checked += z.shape[1]
             digits, slot, bad = self.decode(z)
             if exhaustive:
                 # the sphere centres found: decoded rows on slot 0
-                report.spheres_placed += int(np.count_nonzero((slot == 0) & ~bad))
+                placed += int(np.count_nonzero((slot == 0) & ~bad))
             broken = np.flatnonzero(bad)
-            report.add_violations(
-                len(broken), (f"tile_assign broken at {tuple(z[:, i].tolist())}" for i in broken)
-            )
+            count += len(broken)
+            violations += (f"tile_assign broken at {tuple(z[:, i].tolist())}"
+                           for i in broken[: _MAX_VIOLATIONS - len(violations)])
             head = max(SCALAR_ROWS - start, 0)
             rank = lin_indices([d[:head] for d in digits[1:]], (q,) * (n - 2))
             bulk = zip(digits[0][:head].tolist(), rank.tolist(), slot[:head].tolist())
@@ -404,30 +402,21 @@ class PerfectLeeCode:
                     scalar = None
                 if scalar != (None if flagged else answer):
                     wrong.append(tuple(row))
-        report.add_violations(
-            len(wrong), (f"scalar tile_assign disagrees with decode at {row}" for row in wrong)
-        )
-        return report
+        violations += (f"scalar tile_assign disagrees with decode at {row}"
+                       for row in wrong[: _MAX_VIOLATIONS - len(violations)])
+        return PackingReport(n, q, mode, checked, placed, count + len(wrong), violations)
 
 
-@dataclass
-class PackingReport:
+class PackingReport(NamedTuple):
     """Result of a perfect-packing verification sweep."""
 
     n: int
     q: int
     mode: str
-    hypercubes_checked: int = 0
-    spheres_placed: int = 0
-    violation_count: int = 0
-    violations: list[str] = field(default_factory=list)
-
-    _MAX_STORED = 10
-
-    def add_violations(self, count: int, messages: Iterable[str]) -> None:
-        """Count ``count`` violations; only the stored first few are formatted."""
-        self.violation_count += count
-        self.violations += itertools.islice(messages, self._MAX_STORED - len(self.violations))
+    hypercubes_checked: int
+    spheres_placed: int
+    violation_count: int
+    violations: list[str]
 
     @property
     def ok(self) -> bool:

@@ -10,15 +10,14 @@ alpha * q^n faces in total, even though each face geometrically touches
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .lattice import IntVector, hypercube_from_lin
 from .leecode import generator_matrix
 
 
-@dataclass(frozen=True)
-class ToricParams:
+class ToricParams(NamedTuple):
     """[[N, k, d]] plus derived rate and gain of the component code."""
 
     n: int
@@ -62,8 +61,7 @@ def face_from_lin(idx: int, n: int, q: int) -> tuple[IntVector, int]:
     return hypercube_from_lin(lin, q, n), o
 
 
-@dataclass(frozen=True)
-class StabilizerCheck2D:
+class StabilizerCheck2D(NamedTuple):
     """Vertex and plaquette operator supports of the 2D code on a torus.
 
     Edge layout on the q x q torus: horizontal edge (x, y) has index

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -48,7 +47,7 @@ class TestChainMembership:
 
     def test_doubled_row_fails(self):
         gens = build_generators(5)
-        code = PerfectLeeCode(replace(gens, v=tuple(2 * a for a in gens.v)))
+        code = PerfectLeeCode(gens._replace(v=tuple(2 * a for a in gens.v)))
         # every row is still orthogonal to h, so no h-only test can see the fault
         assert code.non_orthogonal_rows() == []
         missing = [
@@ -66,7 +65,7 @@ class TestMinDistanceReadsGenerators:
         # the rows span a lattice of index 7 that contains e_2; h.e_2 = 2,
         # so a membership test that reads only h cannot see it
         gens = build_generators(5)
-        code = PerfectLeeCode(replace(gens, v1=(0, 0, 0, 1, 1)))
+        code = PerfectLeeCode(gens._replace(v1=(0, 0, 0, 1, 1)))
         assert determinant(code.matrix) == -7
         assert in_lattice(code.matrix, (0, 1, 0, 0, 0))
         assert code.lattice_membership((0, 1, 0, 0, 0))
@@ -85,7 +84,7 @@ class TestMinDistanceReadsGenerators:
 
     def test_singular_generator_aborts_min_distance(self):
         gens = build_generators(5)
-        code = PerfectLeeCode(replace(gens, v1=gens.v))
+        code = PerfectLeeCode(gens._replace(v1=gens.v))
         rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
         assert not rows["min_distance"].ok
         assert rows["min_distance"].detail == "check aborted: generator matrix is singular"
@@ -115,14 +114,14 @@ class TestRunVerification:
 class TestFaultsFailTheirCheck:
     def test_doubled_v_fails_determinant(self):
         gens = build_generators(5)
-        code = PerfectLeeCode(replace(gens, v=tuple(2 * a for a in gens.v)))
+        code = PerfectLeeCode(gens._replace(v=tuple(2 * a for a in gens.v)))
         rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
         assert not rows["determinant"].ok
         assert rows["determinant"].detail == "det A = -22, expected |det| = q = 11"
 
     def test_v1_fault_fails_section_distance(self):
         gens = build_generators(5)
-        code = PerfectLeeCode(replace(gens, v1=(0, 0, 0, 1, 1)))
+        code = PerfectLeeCode(gens._replace(v1=(0, 0, 0, 1, 1)))
         rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
         assert not rows["section_distance"].ok
         assert rows["section_distance"].detail == "cross-section subcode distance 1, expected 4"

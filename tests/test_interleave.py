@@ -1,6 +1,5 @@
 import hashlib
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -219,7 +218,7 @@ class TestBulkMap:
         gens = build_generators(5)
         middle = list(gens.middle)
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
-        bad_map = InterleavingMap(PerfectLeeCode(replace(gens, middle=tuple(middle))))
+        bad_map = InterleavingMap(PerfectLeeCode(gens._replace(middle=tuple(middle))))
         faces = np.random.default_rng(5).integers(0, bad_map.n_faces, size=20000)
         bad = bad_map.code.decode(digits_of(faces // bad_map.alpha, (11,) * 5))[2]
         assert bad.any() and not bad.all()
@@ -425,6 +424,28 @@ class TestSimulate:
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("n", [5, 6])
+    @pytest.mark.parametrize("model", BURST_MODELS)
+    def test_per_trial_draws_match_make_burst(self, monkeypatch, n, model):
+        # simulate's per-trial streams end where make_burst leaves the same stream,
+        # so both make the same rng calls in the same order
+        count = 121 if model == "uniform-random" else None
+        streams = []
+
+        def recorded(*key):
+            streams.append(trial_rng(*key))
+            return streams[-1]
+
+        monkeypatch.setattr(interleave, "trial_rng", recorded)
+        for seed in (0, 7, 2**40 + 3):
+            streams.clear()
+            simulate(MAPS[n], model, 20, seed, count)
+            assert len(streams) == 20
+            for trial, stream in enumerate(streams):
+                alone = trial_rng(seed, trial)
+                make_burst(MAPS[n], model, alone, count)
+                assert stream.bit_generator.state == alone.bit_generator.state
+
     def test_rejects_bad_trials(self, map5):
         with pytest.raises(ValueError):
             simulate(map5, "translate", 0)
@@ -523,7 +544,7 @@ class TestBatchKernelExactness:
         gens = build_generators(5)
         middle = list(gens.middle)
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
-        bad_map = InterleavingMap(PerfectLeeCode(replace(gens, middle=tuple(middle))))
+        bad_map = InterleavingMap(PerfectLeeCode(gens._replace(middle=tuple(middle))))
         with pytest.raises(ValueError, match="is on no codeword sphere"):
             simulate(bad_map, "uniform-random", 5, count=121)
         with pytest.raises(ValueError, match="is not a codeword"):

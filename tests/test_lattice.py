@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -54,10 +53,10 @@ def fault_rows():
     gens = build_generators(5)
     middle = gens.middle[0][:-1] + (gens.middle[0][-1] + 1,)
     return {
-        "middle-plus-one": replace(gens, middle=(middle,) + gens.middle[1:]).rows(),
-        "doubled-v": replace(gens, v=tuple(2 * a for a in gens.v)).rows(),
-        "v1-fault": replace(gens, v1=(0, 0, 0, 1, 1)).rows(),
-        "singular": replace(gens, v1=gens.v).rows(),
+        "middle-plus-one": gens._replace(middle=(middle,) + gens.middle[1:]).rows(),
+        "doubled-v": gens._replace(v=tuple(2 * a for a in gens.v)).rows(),
+        "v1-fault": gens._replace(v1=(0, 0, 0, 1, 1)).rows(),
+        "singular": gens._replace(v1=gens.v).rows(),
     }
 
 

@@ -1,7 +1,6 @@
 import itertools
 import random
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +109,7 @@ class TestGeneratorMatrix:
 
     def test_singular_code_has_det_zero(self):
         gens = build_generators(5)
-        code = PerfectLeeCode(replace(gens, v1=gens.v))
+        code = PerfectLeeCode(gens._replace(v1=gens.v))
         assert code.det == 0
         with pytest.raises(ValueError, match="generator matrix is singular"):
             code.lattice_membership((0,) * 5)
@@ -293,7 +292,7 @@ class TestBulkKernel:
         gens = build_generators(5)
         middle = list(gens.middle)
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
-        bad_code = PerfectLeeCode(replace(gens, middle=tuple(middle)))
+        bad_code = PerfectLeeCode(gens._replace(middle=tuple(middle)))
         rng = np.random.default_rng(7)
         z = rng.integers(0, 11, size=(500, 5), dtype=np.int64).T.astype(np.int16, order="C")
         bad = bad_code.decode(z)[2]
@@ -521,7 +520,7 @@ class TestPerfectPacking:
         gens = build_generators(5)
         middle = list(gens.middle)
         middle[0] = middle[0][:-1] + (middle[0][-1] + 1,)
-        bad = PerfectLeeCode(replace(gens, middle=tuple(middle)))
+        bad = PerfectLeeCode(gens._replace(middle=tuple(middle)))
         report = bad.verify_perfect_packing("exhaustive")
         assert not report.ok
         assert report.violation_count == 146410
@@ -567,7 +566,7 @@ class TestPerfectPacking:
             # the verify --corrupt-generator fault: v_2 gets +1 on its last coordinate
             gens = build_generators(n)
             middle = (gens.middle[0][:-1] + (gens.middle[0][-1] + 1,),) + gens.middle[1:]
-            code = PerfectLeeCode(replace(gens, middle=middle))
+            code = PerfectLeeCode(gens._replace(middle=middle))
         else:
             code = generator_matrix(n)
             monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_tile_assign)
@@ -576,7 +575,7 @@ class TestPerfectPacking:
             monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
             reports.append(code.verify_perfect_packing(mode, samples=samples, seed=seed))
         small, whole = reports
-        assert vars(small) == vars(whole)
+        assert small == whole
         assert small.violations == whole.violations
         assert not small.ok
         if fault == "scalar":

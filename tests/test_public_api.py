@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 import leetoric
@@ -37,3 +42,57 @@ def test_root_exports_exactly_the_public_names():
 )
 def test_deleted_names_are_gone(owner, names):
     assert [name for name in names if hasattr(owner, name)] == []
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records are NamedTuples, so no CLI process pays for dataclass code generation
+    src = str(Path(leetoric.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = "import sys, leetoric.cli; print('dataclasses' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
+
+RECORD_FIELDS = {
+    "BurstPattern": ("model", "faces", "centers"),
+    "CheckResult": ("name", "ok", "detail", "elapsed_s"),
+    "Codeword": ("point", "section", "rank"),
+    "CorrectionReport": ("counts", "success", "witnesses"),
+    "GeneratorSet": ("n", "q", "v", "v1", "middle", "v_last"),
+    "InterleavedParams": ("n", "q", "length", "dimension", "t_i", "R_i", "G_i"),
+    "LogicalAddress": ("section", "rank", "orientation", "position"),
+    "MinDistanceResult": ("distance", "witness", "exact"),
+    "PackingReport": ("n", "q", "mode", "hypercubes_checked", "spheres_placed",
+                      "violation_count", "violations"),
+    "SimulationStats": ("n", "q", "model", "trials", "master_seed", "errors_per_trial_max",
+                        "uniform_count", "successes", "failures", "success_rate", "max_tally",
+                        "mean_tally", "tally_histogram"),
+    "StabilizerCheck2D": ("q", "n_edges", "params", "vertex_supports", "face_supports",
+                          "all_commute", "odd_overlaps"),
+    "ToricParams": ("n", "q", "N", "k", "d", "t", "R", "G"),
+}
+
+
+def made_records():
+    """One record of each kind, as the library returns it."""
+    code = leetoric.generator_matrix(5)
+    map_ = InterleavingMap(code)
+    burst = leetoric.make_burst(map_, "translate", 0)
+    return [
+        leetoric.build_generators(5), code.codeword_from_rank(0, 1), code.min_mannheim_distance(),
+        code.verify_perfect_packing("sampled", samples=10), leetoric.code_params(5),
+        leetoric.kitaev_2d_stabilizers(3), leetoric.interleaved_params(5),
+        map_.logical_from_lin(7), burst, leetoric.deinterleave_and_correct(map_, burst),
+        leetoric.simulate(map_, "translate", 2),
+        leetoric.run_verification(5, "sampled", samples=10)[0],
+    ]
+
+
+def test_records_keep_their_fields_and_are_immutable():
+    records = made_records()
+    assert sorted(type(r).__name__ for r in records) == sorted(RECORD_FIELDS)
+    for record in records:
+        assert type(record)._fields == RECORD_FIELDS[type(record).__name__]
+        for field in record._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
