@@ -349,9 +349,14 @@ def cmd_export_map(args, parser) -> int:
             for _, logical in sweep(map_.n_faces):
                 physical = map_.forward_indices(logical)
                 if binary:
-                    np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe").tofile(fh)
+                    rows = np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe")
                 else:
-                    fh.write(_csv_rows(logical, physical))
+                    rows = _csv_rows(logical, physical)
+                fh.write(rows)  # not rows.tofile(fh), which cannot write to a pipe
+                # Hold this piece's arrays until the next piece's replace them: freed
+                # at once, they leave the heap top free, the allocator returns those
+                # pages to the system, and every piece would fault them in anew.
+                piece = logical, physical, rows
     except OSError as exc:
         print(f"export failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -45,6 +45,8 @@ def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[
     ``exhaustive``: the int64 ranges of [0, total), in order; ``sampled``:
     the pieces of the one draw default_rng(seed).integers(0, total, (k, *row),
     int64), the same however it is pieced since the stream carries over.
+    Each piece is a fresh array, never a view of an earlier one, so a
+    caller may hold a piece while it takes the next.
     """
     if mode == "exhaustive":
         for start in range(0, total, SWEEP_CHUNK):

@@ -225,6 +225,14 @@ class TestSweepPieces:
         assert list(starts) == piece_offsets(pieces)
         assert np.array_equal(np.concatenate(pieces), np.arange(2 * SWEEP_CHUNK + 5))
 
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    def test_each_piece_is_a_fresh_array(self, mode):
+        # export-map and the round trip hold a piece while the next one is made
+        prev = None
+        for _, cur in sweep(2 * SWEEP_CHUNK + 5, mode, 3 * SWEEP_CHUNK + 7, 5):
+            assert prev is None or not np.shares_memory(prev, cur)
+            prev = cur
+
     @pytest.mark.parametrize(
         ("position", "leaks"),
         [(SAMPLE_CAP - 1, True), (SAMPLE_CAP, False), (SWEEP_CHUNK + 10, False)],

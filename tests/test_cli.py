@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+import threading
 from pathlib import Path
 
 import jsonschema
@@ -7,11 +9,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from leetoric import leecode
 from leetoric.cli import _csv_rows, main
 from leetoric.interleave import InterleavingMap
 from leetoric.leecode import PerfectLeeCode, generator_matrix
 
 SCHEMA_DIR = Path(__file__).resolve().parent.parent / "schemas"
+# sha256 of export-map --n 5 in each format, also pinned in CI
+EXPORT_SHA256 = {
+    "csv": "014c3f8db6da7f3a170b556dfa233860775e1e3c4a8a6605de8c257ec60fb5f6",
+    "binary": "43ccf66e1590333e3ebcce0994de6267c5ff31437c979ced820c106f3e459a20",
+}
 
 
 def load_schema(name):
@@ -520,9 +528,7 @@ class TestExportMap:
             rows = [line for i, line in enumerate(fh) if i % stride == 0]
         for line, l, p in zip(rows, logical, expected):
             assert line.rstrip("\n") == f"{l},{p}"
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "014c3f8db6da7f3a170b556dfa233860775e1e3c4a8a6605de8c257ec60fb5f6"
-        )
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == EXPORT_SHA256["csv"]
 
     def test_binary_export_is_permutation(self, tmp_path, capsys, map5):
         out_path = tmp_path / "permutation.bin"
@@ -536,9 +542,39 @@ class TestExportMap:
         assert np.array_equal(raw[:, 0], np.arange(1_610_510, dtype=np.uint64))
         physical = np.sort(raw[:, 1])
         assert np.array_equal(physical, np.arange(1_610_510, dtype=np.uint64))
-        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
-            "43ccf66e1590333e3ebcce0994de6267c5ff31437c979ced820c106f3e459a20"
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == EXPORT_SHA256["binary"]
+
+    @pytest.mark.parametrize("fmt", ["csv", "binary"])
+    def test_small_pieces_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, fmt):
+        # 394 pieces: the logical width grows from 4 to 7 digits, and the last piece
+        # has 1961 rows, so a byte left over from a longer or wider piece would show
+        monkeypatch.setattr(leecode, "SWEEP_CHUNK", 4093)
+        out_path = tmp_path / f"permutation.{fmt}"
+        code, _, _ = run(
+            capsys, "export-map", "--n", "5", "--out", str(out_path), "--format", fmt
         )
+        assert code == 0
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == EXPORT_SHA256[fmt]
+
+    def test_binary_export_streams_to_a_pipe(self, tmp_path, capsys):
+        fifo = tmp_path / "permutation.fifo"
+        os.mkfifo(fifo)
+        digest = hashlib.sha256()
+
+        def drain():
+            with open(fifo, "rb") as fh:
+                for block in iter(lambda: fh.read(1 << 16), b""):
+                    digest.update(block)
+
+        reader = threading.Thread(target=drain, daemon=True)
+        reader.start()
+        code, _, err = run(
+            capsys, "export-map", "--n", "5", "--out", str(fifo), "--format", "binary"
+        )
+        reader.join(timeout=60)
+        assert not reader.is_alive()
+        assert (code, err) == (0, "")
+        assert digest.hexdigest() == EXPORT_SHA256["binary"]
 
     def test_io_failure_exit_code(self, tmp_path, capsys):
         target = tmp_path / "missing-dir" / "out.csv"
