@@ -13,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .interleave import InterleavingMap
+from .interleave import InterleavingMap, check_int64
 from .lattice import digits_of, lin_indices
 from .leecode import SCALAR_ROWS, PerfectLeeCode, check_verification_rules, generator_matrix, sweep
 
@@ -41,10 +41,10 @@ def run_verification(
     map checks would overflow int64 (n >= 13).
     """
     check_verification_rules(n, mode, samples, seed)
+    check_int64(n)
     if code is None:
         code = generator_matrix(n)
     map_ = InterleavingMap(code)
-    map_.check_int64()
     results = []
     for fn in (
         _check_determinant,

@@ -19,7 +19,7 @@ from fractions import Fraction
 import numpy as np
 
 from .checks import run_verification
-from .interleave import BURST_MODELS, InterleavingMap, interleaved_params, simulate
+from .interleave import BURST_MODELS, InterleavingMap, check_int64, interleaved_params, simulate
 from .lattice import digits_of
 from .leecode import PerfectLeeCode, build_generators, generator_matrix, sweep
 from .toric import code_params
@@ -66,9 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, formats=("text", "json")):
+    def add_common(p):
         p.add_argument("--n", type=int, required=True, help="lattice dimension (>= 5)")
-        p.add_argument("--format", choices=formats, default="text")
+        p.add_argument("--format", choices=("text", "json"), default="text")
 
     p = sub.add_parser("params", help="toric and interleaved code parameters")
     add_common(p)
@@ -339,8 +339,8 @@ def _csv_rows(logical: np.ndarray, physical: np.ndarray) -> np.ndarray:
 
 
 def cmd_export_map(args, parser) -> int:
+    check_int64(args.n)  # before the code is built and --out is opened
     map_ = InterleavingMap(generator_matrix(args.n))
-    map_.check_int64()  # before --out is opened
     binary = args.format == "binary"
     try:
         with open(args.out, "wb") as fh:

@@ -69,6 +69,14 @@ def interleaved_params(n: int) -> InterleavedParams:
     )
 
 
+def check_int64(n: int) -> None:
+    """Raise ValueError unless every face index fits in int64; needs no code, only n."""
+    n_faces = interleaved_params(n).length
+    if n_faces > INT64_MAX:
+        raise ValueError(f"n = {n} has {n_faces} faces, more than the int64"
+                         f" limit 2^63 - 1 of the bulk index arithmetic (n <= 12)")
+
+
 class InterleavingMap:
     """Functional bijection between logical indices and face indices.
 
@@ -95,14 +103,6 @@ class InterleavingMap:
 
     def __repr__(self) -> str:
         return f"InterleavingMap(n={self.n}, q={self.q}, faces={self.n_faces})"
-
-    def check_int64(self) -> None:
-        """Raise ValueError unless every face index fits in int64."""
-        if self.n_faces > INT64_MAX:
-            raise ValueError(
-                f"n = {self.n} has {self.n_faces} faces, more than the int64"
-                f" limit 2^63 - 1 of the bulk index arithmetic (n <= 12)"
-            )
 
     # -- scalar map: the exact-int twin of the bulk map ---------------------
 
@@ -184,7 +184,7 @@ class InterleavingMap:
         The range is checked in idx's own dtype, before the cast, so the
         message names the index the caller passed.
         """
-        self.check_int64()
+        check_int64(self.n)
         idx = np.asarray(idx)
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"{kind} indices must be integers, got dtype {idx.dtype}")
@@ -253,7 +253,7 @@ def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> 
     if model == "uniform-random":
         if count is None or count < 0:
             raise ValueError(f"uniform-random model needs a count >= 0, got {count}")
-        map_.check_int64()
+        check_int64(map_.n)
         if count > map_.n_faces:
             raise ValueError(f"cannot draw {count} distinct faces out of {map_.n_faces}")
     if model == "aligned" and code.codewords_per_section > INT64_MAX:

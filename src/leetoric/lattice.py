@@ -35,13 +35,6 @@ def mannheim_weight(v: Sequence[int], q: int) -> int:
     return sum(abs(canonical_rep(x, q)) for x in v)
 
 
-def lee_distance(u: Sequence[int], v: Sequence[int], q: int) -> int:
-    """Mannheim weight of (u - v) mod q; a metric on Z_q^n."""
-    if len(u) != len(v):
-        raise ValueError(f"dimension mismatch: {len(u)} vs {len(v)}")
-    return sum(abs(canonical_rep((a - b) % q, q)) for a, b in zip(u, v))
-
-
 def determinant(rows: Sequence[Sequence[int]]) -> int:
     """Exact determinant of a square integer matrix; the det of det_adj."""
     return det_adj(rows)[0]

@@ -57,17 +57,6 @@ def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[
             yield start, rng.integers(0, total, (min(SWEEP_CHUNK, k - start), *row), np.int64)
 
 
-def check_functional(n: int) -> IntVector:
-    """The row functional h = (1, 2, ..., n).
-
-    Its residues cover Z_q: {0} u {+-h_i mod q} = {0, 1, ..., 2n}, which
-    is exactly the certificate that single-error syndromes are unique.
-    """
-    if n < 2:
-        raise ValueError(f"dimension must be >= 2, got {n}")
-    return tuple(range(1, n + 1))
-
-
 class GeneratorSet(NamedTuple):
     """The n generator rows of the code lattice.
 
@@ -137,7 +126,7 @@ class PerfectLeeCode:
         self.q = generators.q
         self.generators = generators
         self.matrix = generators.rows()
-        self.h = check_functional(self.n)
+        self.h = tuple(range(1, self.n + 1))  # the check functional
         self.alpha = self.n * (self.n - 1) // 2
         # det A, |det A| = q for a valid code, and the columns of adj A (None
         # if A is singular) from one elimination
@@ -211,7 +200,10 @@ class PerfectLeeCode:
         return [row for row in self.matrix if sum(a * b for a, b in zip(self.h, row)) % self.q]
 
     def syndrome_residues(self) -> list[int]:
-        """Sorted {0} u {+-h_i mod q}; the decoder is total iff this is Z_q."""
+        """Sorted {0} u {+-h_i mod q}; the decoder is total iff this is Z_q.
+
+        h = (1, ..., n) gives {0, ..., 2n}: single-error syndromes are unique.
+        """
         q = self.q
         return sorted({0} | {h % q for h in self.h} | {-h % q for h in self.h})
 
@@ -474,26 +466,18 @@ def generator_matrix(n: int) -> PerfectLeeCode:
 def weight_w_vectors(n: int, w: int, q: int) -> Iterator[IntVector]:
     """All length-n vectors of exact Mannheim weight w, centered entries.
 
-    Enumerates supports of size s <= min(w, n), all compositions of w
-    into s positive magnitudes capped at (q-1)/2, and all sign choices.
+    Enumerates supports of size s <= min(w, n), the compositions of w into s parts in [1, (q-1)/2]
+    (s - 1 cuts among the w - 1 gaps, in lexicographic order) and all sign choices.
     """
     cap = (q - 1) // 2
     for s in range(1, min(w, n) + 1):
+        cuts = itertools.combinations(range(1, w), s - 1)
+        parts = ([b - a for a, b in zip((0, *c), (*c, w))] for c in cuts)
+        compositions = [mags for mags in parts if max(mags) <= cap]
         for support in itertools.combinations(range(n), s):
-            for mags in _compositions(w, s, cap):
+            for mags in compositions:
                 for signs in itertools.product((1, -1), repeat=s):
                     vec = [0] * n
                     for pos, mag, sign in zip(support, mags, signs):
                         vec[pos] = sign * mag
                     yield tuple(vec)
-
-
-def _compositions(total: int, parts: int, cap: int) -> Iterator[tuple[int, ...]]:
-    """Ordered tuples of ``parts`` positive integers <= cap summing to total."""
-    if parts == 1:
-        if 1 <= total <= cap:
-            yield (total,)
-        return
-    for first in range(1, min(total - parts + 1, cap) + 1):
-        for rest in _compositions(total - first, parts - 1, cap):
-            yield (first,) + rest

@@ -1,6 +1,12 @@
 import pytest
 
 from leetoric import InterleavingMap, generator_matrix
+from leetoric.lattice import mannheim_weight
+
+
+def lee_distance(u, v, q):
+    """Lee distance of two residue vectors: the Mannheim weight of their difference mod q."""
+    return mannheim_weight([(a - b) % q for a, b in zip(u, v, strict=True)], q)
 
 
 @pytest.fixture(scope="session")

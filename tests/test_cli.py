@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from leetoric import leecode
+from leetoric import checks, cli, leecode
 from leetoric.cli import _csv_rows, main
 from leetoric.interleave import InterleavingMap
 from leetoric.leecode import PerfectLeeCode, generator_matrix
@@ -353,6 +353,24 @@ class TestInt64Limit:
             main(["export-map", "--n", "13", "--out", str(out_path)])
         assert exc.value.code == 2
         assert "int64 limit 2^63 - 1" in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "export-map"])
+    def test_rejected_before_the_code_is_built(self, tmp_path, capsys, monkeypatch, command):
+        def unbuildable(n):
+            raise AssertionError(f"{command} built the code at n = {n}")
+
+        # the build's exact det_adj is O(n^3) big-int work: seconds at n = 300
+        monkeypatch.setattr(checks, "generator_matrix", unbuildable)
+        monkeypatch.setattr(cli, "generator_matrix", unbuildable)
+        out_path = tmp_path / "map13.bin"
+        argv = [command, "--n", "13"] + (["--out", str(out_path)] if command == "export-map" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        message = (f"n = 13 has {78 * 27**13} faces, more than the int64 limit 2^63 - 1"
+                   " of the bulk index arithmetic (n <= 12)")
+        assert message in capsys.readouterr().err
         assert not out_path.exists()
 
     def test_aligned_rejected_above_n14(self, capsys, monkeypatch):

@@ -20,9 +20,11 @@ from leetoric.interleave import (
     simulate,
     trial_rng,
 )
-from leetoric.lattice import digits_of, lee_distance, lin_indices
+from leetoric.lattice import digits_of, lin_indices
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
 from leetoric.toric import face_from_lin
+
+from conftest import lee_distance
 
 
 def logical_index(map_, section, rank, orientation, position):

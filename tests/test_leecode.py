@@ -11,7 +11,6 @@ from leetoric.lattice import (
     digits_of,
     hypercube_from_lin,
     hypercube_lin_index,
-    lee_distance,
     lin_indices,
     mannheim_weight,
 )
@@ -19,32 +18,25 @@ from leetoric import lattice, leecode
 from leetoric.leecode import (
     PerfectLeeCode,
     build_generators,
-    check_functional,
     generator_matrix,
     weight_w_vectors,
 )
 from leetoric.toric import code_params
 
+from conftest import lee_distance
+
 
 class TestCheckFunctional:
-    def test_n5(self):
-        assert check_functional(5) == (1, 2, 3, 4, 5)
+    def test_n5(self, code5):
+        assert code5.h == (1, 2, 3, 4, 5)
 
-    def test_annihilates_printed_generator(self):
+    def test_annihilates_printed_generator(self, code5):
         # h . (0,0,0,1,8) = 4 + 40 = 44 = 0 mod 11
-        h = check_functional(5)
-        assert sum(a * b for a, b in zip(h, (0, 0, 0, 1, 8))) % 11 == 0
+        assert sum(a * b for a, b in zip(code5.h, (0, 0, 0, 1, 8))) % 11 == 0
 
-    @pytest.mark.parametrize("n", [2, 3, 4, 5, 7, 12])
+    @pytest.mark.parametrize("n", [5, 7, 12])
     def test_residues_cover_zq(self, n):
-        q = 2 * n + 1
-        h = check_functional(n)
-        cover = {0} | {x % q for x in h} | {(-x) % q for x in h}
-        assert cover == set(range(q))
-
-    def test_rejects_tiny_dimension(self):
-        with pytest.raises(ValueError):
-            check_functional(1)
+        assert generator_matrix(n).syndrome_residues() == list(range(2 * n + 1))
 
 
 class TestBuildGenerators:
@@ -62,7 +54,7 @@ class TestBuildGenerators:
     @pytest.mark.parametrize("n", range(5, 13))
     def test_orthogonality(self, n):
         gens = build_generators(n)
-        h = check_functional(n)
+        h = range(1, n + 1)
         for row in gens.rows():
             assert sum(a * b for a, b in zip(h, row)) % gens.q == 0
 
@@ -456,6 +448,17 @@ class TestDistanceCertificates:
         # supports {0}, {1} with magnitude 2 (x2 signs) plus {0,1} with
         # magnitudes (1,1) and 4 sign choices
         assert len(set(vecs)) == len(vecs) == 2 * 2 + 4
+
+    @pytest.mark.parametrize("q", [5, 7])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_weight_enumerator_where_the_cap_binds(self, n, q):
+        # entries are capped at (q-1)/2, so a weight near n*(q-1)/2 has few compositions
+        cap = (q - 1) // 2
+        box = list(itertools.product(range(-cap, cap + 1), repeat=n))
+        for w in range(1, n * cap + 2):
+            vecs = list(weight_w_vectors(n, w, q))
+            assert len(vecs) == len(set(vecs))
+            assert set(vecs) == {v for v in box if sum(map(abs, v)) == w}
 
     def test_radius_cap_reports_lower_bound(self, code5):
         scan = code5.min_mannheim_distance(radius_cap=2)

@@ -1,3 +1,5 @@
+import ast
+import importlib
 import os
 import subprocess
 import sys
@@ -6,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric import lattice, toric
+from leetoric import lattice, leecode, toric
 from leetoric.interleave import InterleavingMap
 from leetoric.leecode import PerfectLeeCode
 
@@ -33,15 +35,36 @@ def test_root_exports_exactly_the_public_names():
     [
         (leetoric, ["centered", "LeeSphere", "lee_sphere", "face_count", "TileAssignment",
                     "FaceIndex", "determinant"]),
-        (lattice, ["centered", "LeeSphere", "lee_sphere"]),
+        (lattice, ["centered", "LeeSphere", "lee_sphere", "lee_distance"]),
         (toric, ["face_count", "FaceIndex", "pair_rank", "pair_from_rank", "face_lin_index"]),
+        (leecode, ["check_functional", "_compositions"]),
         (PerfectLeeCode, ["iter_codewords", "codewords_of_weight", "_tile_assign_consistent"]),
-        (InterleavingMap, ["logical_to_physical", "_check_address", "logical_lin_index"]),
+        (InterleavingMap, ["logical_to_physical", "_check_address", "logical_lin_index",
+                           "check_int64"]),
     ],
-    ids=["leetoric", "lattice", "toric", "PerfectLeeCode", "InterleavingMap"],
+    ids=["leetoric", "lattice", "toric", "leecode", "PerfectLeeCode", "InterleavingMap"],
 )
 def test_deleted_names_are_gone(owner, names):
     assert [name for name in names if hasattr(owner, name)] == []
+
+
+def test_every_name_the_tracer_wraps_resolves():
+    # perfbench/tracer.py wraps these by name: read its two tables from the source, run nothing
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py").read_text())
+    tables = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") in ("HOT", "RECORDED")
+    }
+    missing = []
+    for module, attr in tables["HOT"] + tables["RECORDED"]:
+        owner = importlib.import_module(f"leetoric.{module}")
+        for part in attr.split("."):
+            owner = getattr(owner, part, None)
+        if not callable(owner):
+            missing.append(f"{module}.{attr}")
+    assert tables["HOT"] and tables["RECORDED"]
+    assert missing == []
 
 
 def test_cli_import_leaves_dataclasses_out():
