@@ -19,14 +19,15 @@ from fractions import Fraction
 import numpy as np
 
 from .checks import run_verification
-from .interleave import BURST_MODELS, InterleavingMap, check_int64, interleaved_params, simulate
+from .interleave import (BURST_MODELS, InterleavingMap, check_int64, check_simulation_rules,
+                         interleaved_params, simulate)
 from .lattice import digits_of
-from .leecode import PerfectLeeCode, build_generators, generator_matrix, sweep
+from .leecode import (PerfectLeeCode, build_generators, check_verification_rules,
+                      generator_matrix, sweep)
 from .toric import code_params
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
-EXIT_USAGE = 2
 
 DEFAULT_SEED = 0
 DEFAULT_PRECISION = 5
@@ -142,12 +143,7 @@ def cmd_params(args, parser) -> int:
     p = args.precision
     if args.format == "json":
         payload = {
-            "n": toric.n,
-            "q": toric.q,
-            "N": toric.N,
-            "k": toric.k,
-            "d": toric.d,
-            "t": toric.t,
+            **toric._asdict(),
             "R": _rounded(toric.R, p),
             "G": _rounded(toric.G, p),
             "interleaved_length": inter.length,
@@ -180,6 +176,9 @@ def cmd_verify(args, parser) -> int:
     mode = args.mode or ("exhaustive" if args.n == 5 else "sampled")
     code = None
     if args.corrupt_generator:
+        # run_verification's rules, before the O(n^3) build of the faulty code
+        check_verification_rules(args.n, mode, args.samples, args.seed)
+        check_int64(args.n)
         # the first middle row v_2 gets +1 on its last coordinate
         gens = build_generators(args.n)
         fault = gens.middle[0][:-1] + (gens.middle[0][-1] + 1,)
@@ -288,6 +287,8 @@ def cmd_tables(args, parser) -> int:
 
 
 def cmd_simulate(args, parser) -> int:
+    # simulate's rules, before the O(n^3) build of the code
+    check_simulation_rules(args.n, args.model, args.trials, args.seed, args.count)
     map_ = InterleavingMap(generator_matrix(args.n))
     start = time.perf_counter()
     stats = simulate(map_, args.model, args.trials, args.seed, args.count)

@@ -232,7 +232,7 @@ def make_burst(
     aligned n <= 14).  A broken rule raises ValueError.  This is
     ``simulate``'s per-trial draw and chunk kernel run for one trial.
     """
-    _check_burst_rules(map_, model, count)
+    _check_burst_rules(map_.n, model, count)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     anchors, orientations, centers, _ = _place(map_, model, [_draw(map_, model, rng, count)])
@@ -243,9 +243,8 @@ def make_burst(
     return BurstPattern(model, faces, tuple(zip(*centers.tolist())))
 
 
-def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> None:
-    """Raise ValueError unless ``model`` with ``count`` can be drawn on map_."""
-    code = map_.code
+def _check_burst_rules(n: int, model: str, count: int | None) -> None:
+    """Raise ValueError unless ``model`` with ``count`` can be drawn in dimension n."""
     if model not in BURST_MODELS:
         raise ValueError(f"unknown burst model: {model!r}")
     if model != "uniform-random" and count is not None:
@@ -253,12 +252,14 @@ def _check_burst_rules(map_: InterleavingMap, model: str, count: int | None) -> 
     if model == "uniform-random":
         if count is None or count < 0:
             raise ValueError(f"uniform-random model needs a count >= 0, got {count}")
-        check_int64(map_.n)
-        if count > map_.n_faces:
-            raise ValueError(f"cannot draw {count} distinct faces out of {map_.n_faces}")
-    if model == "aligned" and code.codewords_per_section > INT64_MAX:
+        check_int64(n)
+        n_faces = interleaved_params(n).length
+        if count > n_faces:
+            raise ValueError(f"cannot draw {count} distinct faces out of {n_faces}")
+    per_section = (2 * n + 1) ** (n - 2)
+    if model == "aligned" and per_section > INT64_MAX:
         raise ValueError(
-            f"aligned model draws ranks below q^(n-2) = {code.codewords_per_section},"
+            f"aligned model draws ranks below q^(n-2) = {per_section},"
             f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)"
         )
 
@@ -393,6 +394,15 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((master_seed, trial))
 
 
+def check_simulation_rules(n: int, model: str, trials: int, seed: int, count: int | None) -> None:
+    """ValueError unless simulate can run: trials >= 1, seed >= 0 and the burst rules."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    _check_burst_rules(n, model, count)
+
+
 def simulate(
     map_: InterleavingMap,
     model: str,
@@ -410,11 +420,7 @@ def simulate(
     faces, and the result equals a loop of make_burst and
     deinterleave_and_correct over the same trials.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if master_seed < 0:
-        raise ValueError(f"seed must be >= 0, got {master_seed}")
-    _check_burst_rules(map_, model, count)
+    check_simulation_rules(map_.n, model, trials, master_seed, count)
     successes = max_errors = 0
     histogram: dict[int, int] = {}
     drawn = {"translate": map_.q, "uniform-random": count}.get(model, map_.q**2)

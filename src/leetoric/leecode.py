@@ -153,13 +153,12 @@ class PerfectLeeCode:
         # that they are int64 and reduced by arithmetic.  _mod's length is a
         # multiple of q, so a negative index, which counts from its end, also
         # lands on its residue.
-        units = ([int(i == j) for j in range(n)] for i in range(n))
-        self.peel_matrix = tuple(tuple(self._peel(unit)[0]) for unit in units)
         bound = n * q * q + 2 * q
         self._mod = (np.arange(bound) % q).astype(np.int16) if bound <= 2**15 else None
         self._dtype = np.int64 if self._mod is None else np.int16
         self._syndrome_terms = _terms([[h] for h in self.h], q)
-        self._peel_terms = _terms(self.peel_matrix, q)
+        units = ([int(i == j) for j in range(n)] for i in range(n))
+        self._peel_terms = _terms([self._peel(unit)[0] for unit in units], q)
         self._row_terms = _terms(self.digit_rows, q)
         # the offsets as columns, row i entry b is offsets[b][i]: slot 2i+1
         # (_plus_slots[i]) is +e_i and slot 2i+2 (_minus_slots[i]) is -e_i
@@ -301,7 +300,8 @@ class PerfectLeeCode:
         generator lattice, and its digits are meaningless.
         """
         reduce, dtype = self._reduce, self._dtype
-        slot = self._slot_of.take(self._syndromes(anchor))
+        # the slot of the syndrome h.anchor mod q
+        slot = self._slot_of.take(reduce(_sums(anchor, self._syndrome_terms, dtype)[0]))
         # the point, left unreduced in [-1, q]: anchor minus the slot offset
         point = np.array(anchor, dtype=dtype)
         point -= slot == self._plus_slots
@@ -314,10 +314,6 @@ class PerfectLeeCode:
         for r in rest:
             bad |= reduce(r)
         return digits, slot, bad != 0
-
-    def _syndromes(self, x: Sequence[np.ndarray]) -> np.ndarray:
-        """h.x mod q over residue columns."""
-        return self._reduce(_sums(x, self._syndrome_terms, self._dtype)[0])
 
     def _reduce(self, s: np.ndarray) -> np.ndarray:
         """s mod q for -(n q^2 + 2q) <= s < n q^2 + 2q."""

@@ -36,14 +36,13 @@ class TestParams:
     def test_json_n5(self, capsys):
         code, out, _ = run(capsys, "params", "--n", "5", "--format", "json")
         assert code == 0
-        payload = json.loads(out)
-        assert payload["N"] == 110
-        assert payload["k"] == 10
-        assert payload["d"] == 3
-        assert payload["ti"] == 121
-        assert payload["R"] == 0.09091
-        assert payload["Gi"] == 11.09091
-        jsonschema.validate(payload, load_schema("params"))
+        # the exact bytes: a parsed comparison would not see the key order
+        assert out == (
+            '{"n": 5, "q": 11, "N": 110, "k": 10, "d": 3, "t": 1, "R": 0.09091, "G": 0.18182,'
+            ' "interleaved_length": 1610510, "interleaved_dimension": 146410, "ti": 121,'
+            ' "Ri": 0.09091, "Gi": 11.09091}\n'
+        )
+        jsonschema.validate(json.loads(out), load_schema("params"))
 
     def test_text_n6(self, capsys):
         code, out, _ = run(capsys, "params", "--n", "6")
@@ -355,21 +354,35 @@ class TestInt64Limit:
         assert "int64 limit 2^63 - 1" in capsys.readouterr().err
         assert not out_path.exists()
 
-    @pytest.mark.parametrize("command", ["verify", "export-map"])
-    def test_rejected_before_the_code_is_built(self, tmp_path, capsys, monkeypatch, command):
-        def unbuildable(n):
-            raise AssertionError(f"{command} built the code at n = {n}")
+    INT64_MESSAGE = (f"n = 13 has {78 * 27**13} faces, more than the int64 limit 2^63 - 1"
+                     " of the bulk index arithmetic (n <= 12)")
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            pytest.param(["verify"], INT64_MESSAGE, id="verify"),
+            pytest.param(["export-map", "--out"], INT64_MESSAGE, id="export-map"),
+            pytest.param(["verify", "--mode", "sampled", "--corrupt-generator"], INT64_MESSAGE,
+                         id="verify-corrupt"),
+            pytest.param(["simulate", "--model", "uniform-random", "--count", "5", "--trials", "1"],
+                         INT64_MESSAGE, id="simulate-uniform"),
+            pytest.param(["simulate", "--model", "translate", "--trials", "0"],
+                         "trials must be >= 1, got 0", id="simulate-no-trials"),
+        ],
+    )
+    def test_rejected_before_the_code_is_built(self, tmp_path, capsys, monkeypatch, argv, message):
+        def unbuildable(*args):
+            raise AssertionError(f"{argv[0]} built the code")
 
         # the build's exact det_adj is O(n^3) big-int work: seconds at n = 300
         monkeypatch.setattr(checks, "generator_matrix", unbuildable)
         monkeypatch.setattr(cli, "generator_matrix", unbuildable)
+        monkeypatch.setattr(cli, "PerfectLeeCode", unbuildable)
         out_path = tmp_path / "map13.bin"
-        argv = [command, "--n", "13"] + (["--out", str(out_path)] if command == "export-map" else [])
+        argv = argv[:1] + ["--n", "13"] + argv[1:] + ([str(out_path)] if "--out" in argv else [])
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        message = (f"n = 13 has {78 * 27**13} faces, more than the int64 limit 2^63 - 1"
-                   " of the bulk index arithmetic (n <= 12)")
         assert message in capsys.readouterr().err
         assert not out_path.exists()
 

@@ -328,6 +328,10 @@ class TestBulkKernelProperty:
         for s in range(q):
             offset = code.offsets[code._slot_of[s]]
             assert code.syndrome([d % q for d in offset]) == s
+        # syndrome 0 and no other picks slot 0, the zero offset, so a nonzero
+        # slot from decode is a nonzero syndrome
+        for c in CODES.values():
+            assert c._slot_of[0] == 0 and np.count_nonzero(c._slot_of == 0) == 1
 
     @settings(max_examples=80, deadline=None)
     @given(n=st.integers(5, 20), data=st.data())

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric import lattice, leecode, toric
+from leetoric import cli, lattice, leecode, toric
 from leetoric.interleave import InterleavingMap
 from leetoric.leecode import PerfectLeeCode
 
@@ -38,11 +38,15 @@ def test_root_exports_exactly_the_public_names():
         (lattice, ["centered", "LeeSphere", "lee_sphere", "lee_distance"]),
         (toric, ["face_count", "FaceIndex", "pair_rank", "pair_from_rank", "face_lin_index"]),
         (leecode, ["check_functional", "_compositions"]),
-        (PerfectLeeCode, ["iter_codewords", "codewords_of_weight", "_tile_assign_consistent"]),
+        (PerfectLeeCode, ["iter_codewords", "codewords_of_weight", "_tile_assign_consistent",
+                          "_syndromes"]),
         (InterleavingMap, ["logical_to_physical", "_check_address", "logical_lin_index",
                            "check_int64"]),
+        (leecode.generator_matrix(5), ["peel_matrix"]),
+        (cli, ["EXIT_USAGE"]),
     ],
-    ids=["leetoric", "lattice", "toric", "leecode", "PerfectLeeCode", "InterleavingMap"],
+    ids=["leetoric", "lattice", "toric", "leecode", "PerfectLeeCode", "InterleavingMap", "code",
+         "cli"],
 )
 def test_deleted_names_are_gone(owner, names):
     assert [name for name in names if hasattr(owner, name)] == []
