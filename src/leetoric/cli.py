@@ -1,10 +1,11 @@
 """Command-line front end: parameters, verification, tables, simulation,
 and streaming export of the interleaving permutation.
 
-Exit codes are a stable contract for CI: 0 = success / all checks pass,
-1 = a check or expectation failed, 2 = usage error.  All JSON and CSV
-output is byte-identical across identical invocations; wall-clock
-timings appear in text output only.
+Exit codes are a stable contract for CI, and ``main`` alone decides them:
+0 = success / all checks pass; 1 = a check or expectation failed, or output
+could not be written; 2 = usage error: any input rule, ``--precision`` and
+``--rows`` included, raises ValueError before any output.  All JSON and CSV
+output is byte-identical across identical invocations; timings are text only.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 import time
 from fractions import Fraction
@@ -67,22 +69,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, formats=("text", "json")):
         p.add_argument("--n", type=int, required=True, help="lattice dimension (>= 5)")
-        p.add_argument("--format", choices=("text", "json"), default="text")
+        p.add_argument("--format", choices=formats, default=formats[0])
 
     p = sub.add_parser("params", help="toric and interleaved code parameters")
+    p.set_defaults(run=cmd_params)
     add_common(p)
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     p = sub.add_parser("verify", help="run the construction check battery")
+    p.set_defaults(run=cmd_verify)
     add_common(p)
-    p.add_argument(
-        "--mode",
-        choices=("exhaustive", "sampled"),
-        default=None,
-        help="default: exhaustive for n = 5, sampled otherwise",
-    )
+    p.add_argument("--mode", choices=("exhaustive", "sampled"),
+                   help="default: exhaustive for n = 5, sampled otherwise")
     p.add_argument("--samples", type=int, default=10**6)
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument(
@@ -92,11 +92,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("tables", help="reproduce the parameter tables")
+    p.set_defaults(run=cmd_tables)
     p.add_argument("--rows", default="5,6,7,8", help="comma-separated dimensions")
     p.add_argument("--format", choices=("text", "json", "csv"), default="text")
     p.add_argument("--precision", type=int, default=DEFAULT_PRECISION)
 
     p = sub.add_parser("simulate", help="Monte Carlo burst-correction trials")
+    p.set_defaults(run=cmd_simulate)
     add_common(p)
     p.add_argument("--model", choices=BURST_MODELS, required=True)
     p.add_argument("--trials", type=int, default=1000)
@@ -109,35 +111,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("export-map", help="stream the interleaving permutation")
-    p.add_argument("--n", type=int, required=True, help="lattice dimension (>= 5)")
+    p.set_defaults(run=cmd_export_map)
+    add_common(p, ("csv", "binary"))
     p.add_argument("--out", required=True, help="output path")
-    p.add_argument("--format", choices=("csv", "binary"), default="csv")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    precision = getattr(args, "precision", None)
-    if precision is not None and not 0 <= precision <= 50:
-        parser.error(f"precision must be in [0, 50], got {precision}")
     try:
-        return COMMANDS[args.command](args, parser)
-    except BrokenPipeError:
+        if not 0 <= getattr(args, "precision", 0) <= 50:
+            raise ValueError(f"precision must be in [0, 50], got {args.precision}")
+        status = args.run(args)
+        print(end="", flush=True)  # a failed write to stdout, if there is one, is raised here
+        return status
+    except OSError as exc:
+        if not isinstance(exc, BrokenPipeError):  # a reader that closed early wants no message
+            print(f"{args.command} failed: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED
     except ValueError as exc:
-        # the library checks its inputs before any output; a broken rule is a usage error
+        # every input rule is checked before any output; a broken rule is a usage error
         parser.error(str(exc))
 
 
 def entry() -> None:
-    sys.exit(main())
+    status = main()
+    # main has written stdout or failed to. Bytes whose write failed may stay in
+    # its buffer, and the flush at interpreter exit would fail on them again,
+    # print a report and exit 120: fd 1 goes to devnull before the exit.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), 1)
+    sys.exit(status)
 
 
 # -- params ---------------------------------------------------------------
 
 
-def cmd_params(args, parser) -> int:
+def cmd_params(args) -> int:
     toric = code_params(args.n)
     inter = interleaved_params(args.n)
     p = args.precision
@@ -172,7 +182,7 @@ def cmd_params(args, parser) -> int:
 # -- verify ---------------------------------------------------------------
 
 
-def cmd_verify(args, parser) -> int:
+def cmd_verify(args) -> int:
     mode = args.mode or ("exhaustive" if args.n == 5 else "sampled")
     code = None
     if args.corrupt_generator:
@@ -246,13 +256,13 @@ CSV_COLUMNS = (
 )
 
 
-def cmd_tables(args, parser) -> int:
+def cmd_tables(args) -> int:
     try:
         dims = [int(x) for x in args.rows.split(",") if x.strip()]
     except ValueError:
-        parser.error(f"--rows must be comma-separated integers, got {args.rows!r}")
+        raise ValueError(f"--rows must be comma-separated integers, got {args.rows!r}") from None
     if not dims:
-        parser.error("--rows is empty")
+        raise ValueError("--rows is empty")
     tables = _table_rows(dims, args.precision)
     p = args.precision
     if args.format == "json":
@@ -286,7 +296,7 @@ def cmd_tables(args, parser) -> int:
 # -- simulate ---------------------------------------------------------------
 
 
-def cmd_simulate(args, parser) -> int:
+def cmd_simulate(args) -> int:
     # simulate's rules, before the O(n^3) build of the code
     check_simulation_rules(args.n, args.model, args.trials, args.seed, args.count)
     map_ = InterleavingMap(generator_matrix(args.n))
@@ -339,38 +349,25 @@ def _csv_rows(logical: np.ndarray, physical: np.ndarray) -> np.ndarray:
     return chars.T[keep.T]
 
 
-def cmd_export_map(args, parser) -> int:
+def cmd_export_map(args) -> int:
     check_int64(args.n)  # before the code is built and --out is opened
     map_ = InterleavingMap(generator_matrix(args.n))
     binary = args.format == "binary"
-    try:
-        with open(args.out, "wb") as fh:
-            if not binary:
-                fh.write(b"logical,physical\n")
-            for _, logical in sweep(map_.n_faces):
-                physical = map_.forward_indices(logical)
-                if binary:
-                    rows = np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe")
-                else:
-                    rows = _csv_rows(logical, physical)
-                fh.write(rows)  # not rows.tofile(fh), which cannot write to a pipe
-                # Hold this piece's arrays until the next piece's replace them: freed
-                # at once, they leave the heap top free, the allocator returns those
-                # pages to the system, and every piece would fault them in anew.
-                piece = logical, physical, rows
-    except OSError as exc:
-        print(f"export failed: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    with open(args.out, "wb") as fh:
+        if not binary:
+            fh.write(b"logical,physical\n")
+        for _, logical in sweep(map_.n_faces):
+            physical = map_.forward_indices(logical)
+            if binary:
+                rows = np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe")
+            else:
+                rows = _csv_rows(logical, physical)
+            fh.write(rows)  # not rows.tofile(fh), which cannot write to a pipe
+            # Hold this piece's arrays until the next piece's replace them: freed
+            # at once, they leave the heap top free, the allocator returns those
+            # pages to the system, and every piece would fault them in anew.
+            piece = logical, physical, rows
     return EXIT_OK
-
-
-COMMANDS = {
-    "params": cmd_params,
-    "verify": cmd_verify,
-    "tables": cmd_tables,
-    "simulate": cmd_simulate,
-    "export-map": cmd_export_map,
-}
 
 
 if __name__ == "__main__":

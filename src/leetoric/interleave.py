@@ -13,6 +13,7 @@ left with at most the single error the component code can correct.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
@@ -53,6 +54,7 @@ class InterleavedParams(NamedTuple):
 
 def interleaved_params(n: int) -> InterleavedParams:
     """[[alpha q^n, alpha q^{n-1}, q^2]] with rate 1/q and gain (q^2+1)/q."""
+    n = operator.index(n)
     if n < 5:
         raise ValueError(f"unsupported dimension: n must be >= 5, got {n}")
     q = 2 * n + 1
@@ -108,6 +110,7 @@ class InterleavingMap:
 
     def logical_from_lin(self, idx: int) -> LogicalAddress:
         """Split ((j * q^{n-2} + r) * alpha + o) * q + p into its address."""
+        idx = operator.index(idx)
         if not 0 <= idx < self.n_faces:
             raise ValueError(f"logical index {idx} out of range [0, {self.n_faces})")
         idx, p = divmod(idx, self.q)
@@ -245,6 +248,7 @@ def make_burst(
 
 def _check_burst_rules(n: int, model: str, count: int | None) -> None:
     """Raise ValueError unless ``model`` with ``count`` can be drawn in dimension n."""
+    n = operator.index(n)
     if model not in BURST_MODELS:
         raise ValueError(f"unknown burst model: {model!r}")
     if model != "uniform-random" and count is not None:

@@ -10,6 +10,7 @@ digit, while the indices stay int64.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Sequence
 
 import numpy as np
@@ -90,12 +91,13 @@ def hypercube_lin_index(z: Sequence[int], q: int) -> int:
     _check_residues(z, q)
     idx = 0
     for x in z:
-        idx = idx * q + x
+        idx = idx * q + operator.index(x)  # a NumPy digit would wrap the sum
     return idx
 
 
 def hypercube_from_lin(idx: int, q: int, n: int) -> IntVector:
     """Inverse of hypercube_lin_index."""
+    idx, q, n = map(operator.index, (idx, q, n))
     if not 0 <= idx < q**n:
         raise ValueError(f"index {idx} out of range [0, {q**n})")
     out = [0] * n

@@ -14,6 +14,7 @@ reference; ``encode``/``decode`` are their bulk kernel on int16 columns.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
@@ -79,6 +80,7 @@ class GeneratorSet(NamedTuple):
 
 def build_generators(n: int) -> GeneratorSet:
     """Construct the generator rows for dimension n >= 5."""
+    n = operator.index(n)
     if n < 5:
         raise ValueError(f"unsupported dimension: n must be >= 5, got {n}")
     q = 2 * n + 1

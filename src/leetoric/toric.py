@@ -10,6 +10,7 @@ alpha * q^n faces in total, even though each face geometrically touches
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -54,6 +55,7 @@ def face_from_lin(idx: int, n: int, q: int) -> tuple[IntVector, int]:
 
     Orientation o numbers the axis pairs a < b in lexicographic order.
     """
+    idx, n, q = map(operator.index, (idx, n, q))
     alpha = n * (n - 1) // 2
     if not 0 <= idx < alpha * q**n:
         raise ValueError(f"face index {idx} out of range [0, {alpha * q**n})")

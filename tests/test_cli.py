@@ -1,6 +1,8 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -440,11 +442,13 @@ class TestTables:
         assert row["gain_deviation"] is None
 
     def test_rejects_bad_rows(self, capsys):
-        for bad in (["tables", "--rows", "4"], ["tables", "--rows", "x"],
-                    ["tables", "--rows", ""]):
+        for rows, message in (("4", "unsupported dimension: n must be >= 5, got 4"),
+                              ("x", "--rows must be comma-separated integers, got 'x'"),
+                              ("", "--rows is empty"), (",", "--rows is empty")):
             with pytest.raises(SystemExit) as exc:
-                main(bad)
+                main(["tables", "--rows", rows])
             assert exc.value.code == 2
+            assert capsys.readouterr().err.endswith(f"leetoric: error: {message}\n")
 
     def test_csv_byte_identical(self, capsys):
         _, first, _ = run(capsys, "tables", "--format", "csv")
@@ -611,7 +615,57 @@ class TestExportMap:
         target = tmp_path / "missing-dir" / "out.csv"
         code, _, err = run(capsys, "export-map", "--n", "5", "--out", str(target))
         assert code == 1
-        assert "export failed" in err
+        assert "export-map failed" in err
+
+
+def cli_process(argv, **kwargs):
+    """The CLI in a fresh interpreter, with its own stdout, as a shell runs it."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.Popen([sys.executable, "-m", "leetoric.cli", *argv], env=env, **kwargs)
+
+
+class TestExitPaths:
+    """main alone turns an outcome into an exit code: 0, 1 or 2, never a traceback."""
+
+    @pytest.mark.parametrize("precision", ["51", "-1"])
+    @pytest.mark.parametrize("argv", [["params", "--n", "5"], ["tables"]])
+    def test_precision_out_of_range(self, capsys, argv, precision):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--precision", precision])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.endswith(f"leetoric: error: precision must be in [0, 50], got {precision}\n")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [
+        ["params", "--n", "5"],
+        ["tables"],
+        ["verify", "--n", "5", "--format", "json"],
+        ["simulate", "--n", "5", "--model", "aligned", "--trials", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_stdout(self, argv):
+        with open("/dev/full", "wb") as full:
+            proc = cli_process(argv, stdout=full, stderr=subprocess.PIPE)
+            _, err = proc.communicate(timeout=120)
+        expected = f"{argv[0]} failed: [Errno 28] No space left on device\n"
+        assert (proc.returncode, err.decode()) == (1, expected)
+
+    def test_closed_stdout(self):
+        # with fd 1 closed there is no sys.stdout: the output is dropped, as it always was
+        proc = cli_process(["params", "--n", "5"], stderr=subprocess.PIPE,
+                           preexec_fn=lambda: os.close(1))
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (0, b"")
+
+    def test_reader_closes_early(self):
+        proc = cli_process(["export-map", "--n", "5", "--out", "/dev/stdout"],
+                           stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        head = proc.stdout.read(10)
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (head, proc.wait(timeout=120), err) == (b"logical,ph", 1, b"")
 
 
 def f_string_rows(logical, physical):

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from leetoric import interleave
+from leetoric.checks import run_verification
 from leetoric.interleave import (
     BURST_MODELS,
     BurstPattern,
@@ -15,12 +16,14 @@ from leetoric.interleave import (
     SimulationStats,
     _sample_distinct,
     deinterleave_and_correct,
+    check_int64,
+    check_simulation_rules,
     interleaved_params,
     make_burst,
     simulate,
     trial_rng,
 )
-from leetoric.lattice import digits_of, lin_indices
+from leetoric.lattice import digits_of, hypercube_from_lin, lin_indices
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
 from leetoric.toric import face_from_lin
 
@@ -117,6 +120,54 @@ class TestLinearIndexForms:
 
     def test_zero_maps_to_zero(self, map5):
         assert map5.forward_index(0) == 0
+
+
+def outcome(call, *args):
+    """The repr of what a call gives, its value or its ValueError; a NumPy scalar shows in it."""
+    try:
+        return repr(call(*args))
+    except ValueError as exc:
+        return repr(exc)
+
+
+class TestNumpyIntegers:
+    """A NumPy integer gives the answer or the error of the Python int it holds."""
+
+    RULES_ON_N = {
+        "interleaved_params": interleaved_params,
+        "check_int64": check_int64,
+        "build_generators": build_generators,
+        "aligned": lambda n: check_simulation_rules(n, "aligned", 1, 0, None),
+        "uniform-random": lambda n: check_simulation_rules(n, "uniform-random", 1, 0, 5),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(RULES_ON_N))
+    @pytest.mark.parametrize("n", [4, 5, 12, 13, 14, 15, 40])
+    def test_rules_on_n(self, rule, n):
+        call = self.RULES_ON_N[rule]
+        assert outcome(call, np.int64(n)) == outcome(call, n)
+
+    @pytest.mark.parametrize("n", [4, 13, 40])
+    def test_verification_refuses_before_any_check(self, n):
+        # a wrapped face count let n = 13 through to FAIL on a valid code
+        assert outcome(run_verification, np.int64(n), "sampled", 100) == outcome(
+            run_verification, n, "sampled", 100)
+
+    def test_scalar_maps_stay_exact_at_n13(self):
+        # n = 13 has more than 2^63 faces: int64 arithmetic on an index wraps
+        map13 = InterleavingMap(generator_matrix(13))
+        for f in np.random.default_rng(1).integers(0, 2**63 - 1, size=300):
+            for call in (map13.inverse_index, map13.forward_index, map13.logical_from_lin,
+                         lambda i: face_from_lin(i, 13, 27)):
+                assert outcome(call, f) == outcome(call, int(f))
+
+    def test_scalar_maps_read_numpy_dimensions(self):
+        # alpha * q^n in int64 wraps at n = 13, and would move the range bound
+        last = 78 * 27**13 - 1
+        for n, q in ((np.int64(13), np.int64(27)), (np.int16(13), np.int16(27))):
+            assert face_from_lin(last, n, q) == face_from_lin(last, 13, 27)
+            assert outcome(face_from_lin, last + 1, n, q) == outcome(face_from_lin, last + 1, 13, 27)
+            assert hypercube_from_lin(27**13 - 1, q, n) == (26,) * 13
 
 
 class TestBulkMap:

@@ -345,3 +345,11 @@ class TestHypercubeLinIndex:
     def test_inverse_rejects_overflow(self):
         with pytest.raises(ValueError):
             hypercube_from_lin(11**5, 11, 5)
+
+    def test_numpy_integers_give_exact_ints(self):
+        # the kernel's own int16 column: an int16 running sum wraps 161050 to 29978
+        column = digits_of(np.array([161050]), (11,) * 5)[:, 0]
+        assert column.dtype == np.int16
+        assert hypercube_lin_index(column, 11) == 161050
+        z = hypercube_from_lin(np.int64(161050), 11, 5)
+        assert z == (10,) * 5 and all(type(x) is int for x in z)
