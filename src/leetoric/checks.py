@@ -11,8 +11,7 @@ from __future__ import annotations
 import time
 from typing import NamedTuple
 
-import numpy as np
-
+from ._numpy import np
 from .interleave import InterleavingMap, check_int64
 from .lattice import digits_of, lin_indices
 from .leecode import SCALAR_ROWS, PerfectLeeCode, check_verification_rules, generator_matrix, sweep

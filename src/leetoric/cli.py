@@ -18,8 +18,7 @@ import sys
 import time
 from fractions import Fraction
 
-import numpy as np
-
+from ._numpy import np
 from .checks import run_verification
 from .interleave import (BURST_MODELS, InterleavingMap, check_int64, check_simulation_rules,
                          interleaved_params, simulate)

@@ -17,14 +17,13 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .lattice import IntVector, digits_of, hypercube_lin_index, lin_indices
 from .leecode import PerfectLeeCode
 from .toric import face_from_lin
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
-INT64_MAX = np.iinfo(np.int64).max
+INT64_MAX = 2**63 - 1  # np.iinfo(np.int64).max, known without loading NumPy
 # simulate places and tallies bursts in chunks of about this many faces; larger
 # chunks cost peak memory and gain little (8192 raised the montecarlo peak RSS
 # from 36.5 to 37.7 MB)

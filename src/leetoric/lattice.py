@@ -13,7 +13,7 @@ import math
 import operator
 from typing import Sequence
 
-import numpy as np
+from ._numpy import np
 
 IntVector = tuple[int, ...]
 

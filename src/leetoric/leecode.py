@@ -9,16 +9,19 @@ tile the q^n torus exactly once.  Perfection makes the syndrome decoder
 total: every point is within Lee distance 1 of exactly one codeword.
 The scalar methods of ``PerfectLeeCode`` are the exact Python-int
 reference; ``encode``/``decode`` are their bulk kernel on int16 columns.
+The kernel's array tables are built on the first bulk call (``tile_assign``
+reads one of them too), so a code built only for its parameters loads no
+NumPy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
+from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
-import numpy as np
-
+from ._numpy import np
 from .lattice import (
     IntVector,
     _check_residues,
@@ -38,6 +41,9 @@ SWEEP_CHUNK = 1 << 16
 SCALAR_ROWS = 1000
 # a PackingReport stores the first this many violations
 _MAX_VIOLATIONS = 10
+# verify takes at most this many samples: the sampled sweep at n = 12 takes
+# ~36 s in process at 10^8 on 2 vCPUs, and would take ~6 min at 10^9
+MAX_SAMPLES = 10**8
 
 
 def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[int, np.ndarray]]:
@@ -137,10 +143,6 @@ class PerfectLeeCode:
         n, q = self.n, self.q
         # The slot-offset table, built once: row b is slot_offset(b, n).
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
-        # The one syndrome -> slot table, read by tile_assign and decode: it
-        # inverts the offsets' syndromes, a permutation of Z_q since h covers it.
-        syndromes = [self.syndrome([d % q for d in off]) for off in self.offsets]
-        self._slot_of = np.argsort(syndromes).astype(np.int16)
         # A codeword is its digits (section, m_{n-2}, ..., m_2, m_v), the
         # big-endian base-q digits of section * q^(n-2) + rank, times these
         # rows v_{n-1}, v_{n-2}, ..., v_2, v.  The peel schedule undoes the
@@ -148,28 +150,52 @@ class PerfectLeeCode:
         # coordinate, then subtracts the digit's row, in this order.
         self.digit_rows = tuple(self.matrix[i] for i in [n - 1, *range(n - 2, 1, -1), 0])
         self.peel = _peel_schedule(n)
-        # The bulk kernel's tables.  The peel is linear mod q, so it is one
-        # matrix B, row i the peel of e_i: digits = x.B mod q.  Every column
-        # sum the kernel forms has |sum| < n q^2 + 2q (7550 at n = 12), so up
-        # to n = 19 the sums are int16 and mod q is one lookup in _mod; past
-        # that they are int64 and reduced by arithmetic.  _mod's length is a
-        # multiple of q, so a negative index, which counts from its end, also
-        # lands on its residue.
-        bound = n * q * q + 2 * q
-        self._mod = (np.arange(bound) % q).astype(np.int16) if bound <= 2**15 else None
-        self._dtype = np.int64 if self._mod is None else np.int16
+        # The bulk kernel's exact-int tables.  The peel is linear mod q, so it
+        # is one matrix B, row i the peel of e_i: digits = x.B mod q.
         self._syndrome_terms = _terms([[h] for h in self.h], q)
         units = ([int(i == j) for j in range(n)] for i in range(n))
         self._peel_terms = _terms([self._peel(unit)[0] for unit in units], q)
         self._row_terms = _terms(self.digit_rows, q)
-        # the offsets as columns, row i entry b is offsets[b][i]: slot 2i+1
-        # (_plus_slots[i]) is +e_i and slot 2i+2 (_minus_slots[i]) is -e_i
-        self._offset_columns = np.array(self.offsets, dtype=np.int16).T
-        self._plus_slots = np.arange(1, q, 2, dtype=np.int16)[:, None]
-        self._minus_slots = self._plus_slots + 1
 
     def __repr__(self) -> str:
         return f"PerfectLeeCode(n={self.n}, q={self.q})"
+
+    # -- the kernel's array tables, each built on its first read ------------
+
+    @cached_property
+    def _slot_of(self) -> np.ndarray:
+        # The one syndrome -> slot table, read by tile_assign and decode: it
+        # inverts the offsets' syndromes, a permutation of Z_q since h covers it.
+        syndromes = [self.syndrome([d % self.q for d in off]) for off in self.offsets]
+        return np.argsort(syndromes).astype(np.int16)
+
+    @cached_property
+    def _mod(self) -> np.ndarray | None:
+        # Every column sum the kernel forms has |sum| < n q^2 + 2q (7550 at
+        # n = 12), so up to n = 19 the sums are int16 and mod q is one lookup
+        # in _mod; past that they are int64 and reduced by arithmetic.  _mod's
+        # length is a multiple of q, so a negative index, which counts from
+        # its end, also lands on its residue.
+        bound = self.n * self.q**2 + 2 * self.q
+        return (np.arange(bound) % self.q).astype(np.int16) if bound <= 2**15 else None
+
+    @cached_property
+    def _dtype(self) -> type:
+        return np.int64 if self._mod is None else np.int16
+
+    @cached_property
+    def _offset_columns(self) -> np.ndarray:
+        # the offsets as columns, row i entry b is offsets[b][i]
+        return np.array(self.offsets, dtype=np.int16).T
+
+    @cached_property
+    def _plus_slots(self) -> np.ndarray:
+        # slot 2i+1 (_plus_slots[i]) is +e_i and slot 2i+2 (_minus_slots[i]) is -e_i
+        return np.arange(1, self.q, 2, dtype=np.int16)[:, None]
+
+    @cached_property
+    def _minus_slots(self) -> np.ndarray:
+        return np.arange(2, self.q, 2, dtype=np.int16)[:, None]
 
     @property
     def n_codewords(self) -> int:
@@ -416,13 +442,16 @@ class PackingReport(NamedTuple):
 
 
 def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None:
-    """ValueError unless mode is known, exhaustive only at n <= 6, samples >= 1, seed >= 0."""
+    """ValueError unless mode is known, exhaustive only at n <= 6, samples in [1, MAX_SAMPLES]
+    and seed >= 0."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
     if mode == "exhaustive" and n > 6:
         raise ValueError("exhaustive verification is only supported for n <= 6; use --mode sampled")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
+    if samples > MAX_SAMPLES:
+        raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
 

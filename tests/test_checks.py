@@ -13,9 +13,11 @@ from leetoric.checks import (
 from leetoric.interleave import InterleavingMap
 from leetoric.lattice import determinant, digits_of, lin_indices
 from leetoric.leecode import (
+    MAX_SAMPLES,
     SWEEP_CHUNK,
     PerfectLeeCode,
     build_generators,
+    check_verification_rules,
     generator_matrix,
     sweep,
     weight_w_vectors,
@@ -101,6 +103,14 @@ class TestRunVerification:
         with pytest.raises(ValueError) as exc:
             run_verification(5, mode, samples=samples)
         assert str(exc.value) == f"samples must be >= 1, got {samples}"
+
+    @pytest.mark.parametrize("mode", ["sampled", "exhaustive"])
+    def test_samples_limit(self, mode):
+        # the rule alone: a sweep of MAX_SAMPLES rows takes ~36 s at n = 12
+        check_verification_rules(12 if mode == "sampled" else 5, mode, MAX_SAMPLES, 0)
+        with pytest.raises(ValueError) as exc:
+            run_verification(5, mode, samples=MAX_SAMPLES + 1)
+        assert str(exc.value) == f"samples must be <= 100000000, got {MAX_SAMPLES + 1}"
 
     @pytest.mark.parametrize("n", [7, 13])
     def test_rejects_exhaustive_above_n5(self, n):

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -274,6 +275,23 @@ class TestVerify:
             main(["verify", "--n", "8", "--mode", "sampled", "--samples", samples])
         assert exc.value.code == 2
         assert f"samples must be >= 1, got {samples}" in capsys.readouterr().err
+
+    def test_samples_limit(self, capsys, monkeypatch):
+        # every sweep stops after its first piece, so the run at the limit is
+        # accepted without its ~36 s of sweeping; one sample more exits 2
+        def first_piece(*args, sweep=leecode.sweep, **kwargs):
+            return itertools.islice(sweep(*args, **kwargs), 1)
+
+        monkeypatch.setattr(checks, "sweep", first_piece)
+        monkeypatch.setattr(leecode, "sweep", first_piece)
+        argv = ["verify", "--n", "12", "--mode", "sampled", "--samples"]
+        code, out, _ = run(capsys, *argv, str(leecode.MAX_SAMPLES))
+        assert code == 0
+        assert "PASS roundtrip: 100000000 sampled slots round-trip" in out
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, str(10**8 + 1)])
+        assert exc.value.code == 2
+        assert "samples must be <= 100000000, got 100000001" in capsys.readouterr().err
 
     def test_exhaustive_rejected_above_n5(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -65,6 +65,15 @@ class TestInterleavedParams:
         with pytest.raises(ValueError):
             interleaved_params(4)
 
+    def test_int64_limit_is_numpys_as_an_exact_int(self):
+        assert interleave.INT64_MAX == np.iinfo(np.int64).max
+        assert type(interleave.INT64_MAX) is int
+        check_int64(12)
+        with pytest.raises(ValueError) as exc:
+            check_int64(13)
+        assert str(exc.value) == (f"n = 13 has {78 * 27**13} faces, more than the int64"
+                                  " limit 2^63 - 1 of the bulk index arithmetic (n <= 12)")
+
 
 class TestScalarMap:
     def test_zero_address(self, map5):

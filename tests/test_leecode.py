@@ -298,6 +298,27 @@ class TestBulkKernel:
                 bad_code.tile_assign(zt)
 
 
+ARRAY_TABLES = ("_slot_of", "_mod", "_dtype", "_offset_columns", "_plus_slots", "_minus_slots")
+
+
+@pytest.mark.parametrize("n", [5, 12, 19, 20])
+def test_array_tables_do_not_depend_on_the_first_call(n):
+    # the tables are built on first read: one code reads them first from the
+    # scalar tile_assign, the other from the bulk decode
+    scalar, bulk = generator_matrix(n), generator_matrix(n)
+    assert not set(ARRAY_TABLES) & vars(scalar).keys()
+    scalar.tile_assign((1,) + (0,) * (n - 1))
+    bulk.decode(np.zeros((n, 3), dtype=np.int16))
+    for name in ARRAY_TABLES:
+        a, b = getattr(scalar, name), getattr(bulk, name)
+        if isinstance(a, np.ndarray):
+            assert a.dtype == b.dtype and np.array_equal(a, b), name
+        else:  # _dtype, and _mod past n = 19
+            assert a is b, name
+    assert np.array_equal(scalar._minus_slots, scalar._plus_slots + 1)
+    assert scalar._offset_columns.dtype == scalar._slot_of.dtype == np.int16
+
+
 CODES = {n: generator_matrix(n) for n in range(5, 21)}
 
 

@@ -71,13 +71,42 @@ def test_every_name_the_tracer_wraps_resolves():
     assert missing == []
 
 
-def test_cli_import_leaves_dataclasses_out():
-    # the records are NamedTuples, so no CLI process pays for dataclass code generation
+def fresh_python(probe):
+    """The run of ``python -c probe`` in a fresh interpreter that imports this package."""
     src = str(Path(leetoric.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    probe = "import sys, leetoric.cli; print('dataclasses' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True)
+
+
+def test_cli_import_leaves_dataclasses_out():
+    # the records are NamedTuples, so no CLI process pays for dataclass code generation
+    out = fresh_python("import sys, leetoric.cli; print('dataclasses' in sys.modules)")
     assert (out.returncode, out.stdout) == (0, "False\n"), out.stderr
+
+
+@pytest.mark.parametrize("probe, loads", [
+    ("import leetoric", False),
+    ("import leetoric; leetoric.code_params(5); leetoric.interleaved_params(12)", False),
+    ("from leetoric import cli; cli.main(['params', '--n', '5', '--format', 'json'])", False),
+    ("from leetoric import cli; cli.main(['tables', '--rows', '5,6,7,8', '--format', 'json'])",
+     False),
+    # an array command does load it, so the probe can fail
+    ("from leetoric import cli; cli.main(['verify', '--n', '5'])", True),
+], ids=["import", "code_params", "params", "tables", "verify"])
+def test_numpy_runs_only_for_the_array_commands(probe, loads):
+    # a submodule of numpy is in sys.modules once NumPy's import has run, whether
+    # numpy itself is there as a module still to be loaded or not at all
+    out = fresh_python(f"import sys; {probe}; "
+                       "print(any(m.startswith('numpy.') for m in sys.modules))")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(loads)
+
+
+def test_import_fails_without_numpy():
+    # NumPy loads late, but its absence still shows when the package is imported
+    out = fresh_python("import sys; sys.modules['numpy'] = None; import leetoric")
+    assert out.returncode == 1
+    assert out.stderr.splitlines()[-1].startswith("ModuleNotFoundError:"), out.stderr
 
 
 RECORD_FIELDS = {
