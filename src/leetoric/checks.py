@@ -2,7 +2,7 @@
 
 Each check is timed and reports pass/fail with a human-readable detail
 string (the failing witness, when there is one).  Exhaustive mode runs
-at n <= 6, larger dimensions use seeded sampling, and the round trip
+at n <= 7, larger dimensions use seeded sampling, and the round trip
 runs on the interleaver's digit rows.
 """
 
@@ -36,7 +36,7 @@ def run_verification(
     """Run the full battery of construction checks for dimension n.
 
     Raises ValueError before any check runs if the mode is unknown,
-    exhaustive at n >= 7, samples < 1, the seed is negative or the bulk
+    exhaustive at n >= 8, samples < 1, the seed is negative or the bulk
     map checks would overflow int64 (n >= 13).
     """
     check_verification_rules(n, mode, samples, seed)
@@ -44,6 +44,8 @@ def run_verification(
     if code is None:
         code = generator_matrix(n)
     map_ = InterleavingMap(code)
+    # NumPy loads on its first attribute read: read one here, so that no check's time pays for it
+    np.ndarray
     results = []
     for fn in (
         _check_determinant,
@@ -160,34 +162,60 @@ def _check_packing(code, map_, mode, samples, seed):
 def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     """Round trip and section confinement from one forward + inverse pass on digit rows.
 
-    forward_indices and inverse_indices compose these rows unchecked, so a face digit
-    outside its radix aborts both.  Confinement holds iff the section and orientation
-    rows of inverse(forward(i)) are i's; a bad face fails both checks.
+    The rows are map_.logical_pieces': exhaustive, each anchor is encoded
+    and decoded once, and every row that involves the orientation is
+    compared on the full grid of the piece's slots.  forward_indices and
+    inverse_indices compose these rows unchecked, so a face digit outside
+    its radix aborts both.  Confinement holds iff the section and
+    orientation rows of inverse(forward(i)) are i's; a bad face fails both
+    checks.  Each failure names the first slot in sweep order.
     """
-    total = map_.n_faces
+    total, radices = map_.n_faces, map_.logical_radices
     # sampled confinement reads a prefix of the round trip's draws: the first k
     k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
     trip = leak = None  # the first failure of each check
-    for start, idx in sweep(total, mode, samples, seed):
-        logical = digits_of(idx, map_.logical_radices)
+    for start, logical in map_.logical_pieces(mode, samples, seed):
+        shape = np.broadcast_shapes(*(np.shape(row) for row in logical))
+
+        # A position is a slot of the piece in sweep order, where the rows are
+        # broadcast to shape and raveled; a mask's first set entry, its broadcast
+        # axes at 0, is the first position it flags.
+        def first(masks, head=None):  # the first position a mask flags before head, or None
+            hits = [np.ravel_multi_index((0,) * (len(shape) - m.ndim)
+                                         + np.unravel_index(m.argmax(), m.shape), shape)
+                    for m in masks if m.any()]
+            return min(hits) if hits and (head is None or min(hits) < head) else None
+
+        def entry(row, i):  # the row's entry at position i
+            return np.broadcast_to(row, shape)[np.unravel_index(i, shape)]
+
+        def slot(i):  # the logical index at position i
+            return lin_indices([entry(row, i) for row in logical], radices)
+
         rows = map_.forward_digits(logical)  # the face's digit rows, then the logical ones back
-        for d, (row, radix) in enumerate(zip(rows, map_.face_radices)):
-            if row.min() < 0 or row.max() >= radix:
-                i = np.flatnonzero((row < 0) | (row >= radix))[0]
-                raise ValueError(f"face digit {d} of logical index {idx[i]} is {row[i]},"
-                                 f" out of range [0, {radix})")
+        if any(row.min() < 0 or row.max() >= radix for row, radix in zip(rows, map_.face_radices)):
+            out = [(row < 0) | (row >= radix) for row, radix in zip(rows, map_.face_radices)]
+            i = first(out)
+            d = next(d for d, o in enumerate(out) if entry(o, i))
+            raise ValueError(f"face digit {d} of logical index {slot(i)} is {entry(rows[d], i)},"
+                             f" out of range [0, {map_.face_radices[d]})")
         rows, bad = map_.inverse_digits(rows)
+        # The orientation is compared apart from the other rows, whose masks fold
+        # into one once per orientation-free tuple; a row that involves the
+        # orientation is compared on the full grid of slots.
         moved = bad | (rows[0] != logical[0])
-        if trip is None:
-            miss = np.flatnonzero(moved | np.not_equal(rows[1:], logical[1:]).any(axis=0))
-            if len(miss):
-                trip = f"round-trip mismatch at logical index {idx[miss[0]]}"
-        head = max(k - start, 0)
-        fail = np.flatnonzero(moved[:head] | (rows[-2][:head] != logical[-2][:head]))
-        if leak is None and len(fail):
-            addr = map_.logical_from_lin(int(idx[fail[0]]))
-            leak = (f"orientation changed at {addr}" if not moved[fail[0]]
-                    else f"physical codeword of {addr} leaves section {addr.section}")
+        turned = rows[-2] != logical[-2]
+        miss = moved
+        for row, want in zip(rows[1:-2] + rows[-1:], logical[1:-2] + logical[-1:]):
+            miss = miss | (row != want)
+        if trip is None and (miss.any() or turned.any()):
+            trip = f"round-trip mismatch at logical index {slot(first([miss, turned]))}"
+        if leak is None and start < k and (moved.any() or turned.any()):
+            i = first([moved, turned], k - start)
+            if i is not None:
+                addr = map_.logical_from_lin(int(slot(i)))
+                leak = (f"orientation changed at {addr}" if not entry(moved, i)
+                        else f"physical codeword of {addr} leaves section {addr.section}")
     # scalar spot-check against the vectorized path
     spot = np.random.default_rng(seed + 1).integers(0, total, size=200)
     for i, fwd in zip(spot.tolist(), map_.forward_indices(spot).tolist()):

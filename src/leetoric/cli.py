@@ -22,9 +22,8 @@ from ._numpy import np
 from .checks import run_verification
 from .interleave import (BURST_MODELS, InterleavingMap, check_int64, check_simulation_rules,
                          interleaved_params, simulate)
-from .lattice import digits_of
-from .leecode import (PerfectLeeCode, build_generators, check_verification_rules,
-                      generator_matrix, sweep)
+from .lattice import digits_of, lin_indices
+from .leecode import PerfectLeeCode, build_generators, check_verification_rules, generator_matrix
 from .toric import code_params
 
 EXIT_OK = 0
@@ -348,6 +347,17 @@ def _csv_rows(logical: np.ndarray, physical: np.ndarray) -> np.ndarray:
     return chars.T[keep.T]
 
 
+def _physical_pieces(map_: InterleavingMap):
+    """(start, physical): the face indices of logical slots start, start + 1, ..., a piece at a time.
+
+    Each piece is map_.logical_pieces' of at most SWEEP_CHUNK slots: its
+    anchors are encoded once, and lin(anchor) * alpha + o broadcasts to the
+    piece's slots in logical order.
+    """
+    for start, logical in map_.logical_pieces(by_slot=True):
+        yield start, lin_indices(map_.forward_digits(logical), map_.face_radices).ravel()
+
+
 def cmd_export_map(args) -> int:
     check_int64(args.n)  # before the code is built and --out is opened
     map_ = InterleavingMap(generator_matrix(args.n))
@@ -355,17 +365,20 @@ def cmd_export_map(args) -> int:
     with open(args.out, "wb") as fh:
         if not binary:
             fh.write(b"logical,physical\n")
-        for _, logical in sweep(map_.n_faces):
-            physical = map_.forward_indices(logical)
+        # Each piece's physical column and rows stay bound until the next piece's
+        # replace them, and its logical column is freed once used: so the
+        # allocator reuses the same pages piece after piece.  Freed at once, a
+        # piece would leave the heap top free, and every piece would fault its
+        # pages in anew; with the logical column held too, two pieces would take
+        # turns at the heap top, and every other piece would.
+        for start, physical in _physical_pieces(map_):
             if binary:
-                rows = np.stack([logical, physical], axis=1, dtype="<u8", casting="unsafe")
+                rows = np.empty((len(physical), 2), dtype="<u8")
+                rows[:, 0] = np.arange(start, start + len(physical), dtype=np.int64)
+                rows[:, 1] = physical
             else:
-                rows = _csv_rows(logical, physical)
+                rows = _csv_rows(np.arange(start, start + len(physical), dtype=np.int64), physical)
             fh.write(rows)  # not rows.tofile(fh), which cannot write to a pipe
-            # Hold this piece's arrays until the next piece's replace them: freed
-            # at once, they leave the heap top free, the allocator returns those
-            # pages to the system, and every piece would fault them in anew.
-            piece = logical, physical, rows
     return EXIT_OK
 
 

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 import operator
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
+from . import leecode
 from ._numpy import np
 from .lattice import IntVector, digits_of, hypercube_lin_index, lin_indices
 from .leecode import PerfectLeeCode
@@ -158,6 +159,33 @@ class InterleavingMap:
         *anchor, o = face
         (section, *middle, p), slot, bad = self.code.decode(anchor)
         return [section, slot, *middle, o, p], bad
+
+    def logical_pieces(
+        self, mode: str = "exhaustive", k: int = 0, seed: int = 0, by_slot: bool = False
+    ) -> Iterator[tuple[int, list[np.ndarray]]]:
+        """The (start, logical digit rows) pieces of a bulk sweep of the slots, start the piece's offset.
+
+        ``sampled``: the digit rows of sweep's draw of k slots.  ``exhaustive``:
+        every slot, in logical order, in pieces of whole prefixes (section,
+        block, m_{n-2}, ..., m_2) of at most SWEEP_CHUNK orientation-free
+        tuples (prefix, p), or SWEEP_CHUNK slots if ``by_slot``.  There every
+        row but o holds one entry per tuple, shaped (prefixes, 1, q), and o is
+        arange(alpha) shaped (alpha, 1), so forward_digits encodes each anchor
+        once, not alpha times.  A row computed from o broadcasts to
+        (prefixes, alpha, q), whose raveled entry i is slot start + i.
+        """
+        if mode != "exhaustive":
+            for start, idx in leecode.sweep(self.n_faces, mode, k, seed):
+                yield start, list(digits_of(idx, self.logical_radices))
+            return
+        n, q, alpha = self.n, self.q, self.alpha
+        per_prefix = q * alpha if by_slot else q
+        step = q * max(leecode.SWEEP_CHUNK // per_prefix, 1)  # tuples per piece
+        o = np.arange(alpha, dtype=np.int16)[:, None]
+        for first in range(0, q**n, step):
+            tuples = np.arange(first, min(first + step, q**n), dtype=np.int64)
+            *prefix, p = digits_of(tuples, (q,) * n).reshape(n, -1, 1, q)
+            yield first * alpha, [*prefix, o, p]
 
     def forward_indices(self, logical: np.ndarray) -> np.ndarray:
         """Vectorized forward_index over an int64 array of logical indices.

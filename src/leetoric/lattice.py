@@ -127,12 +127,16 @@ def digits_of(idx: np.ndarray, radices: Sequence[int]) -> np.ndarray:
 def lin_indices(digits: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndarray:
     """Inverse of digits_of: Horner's rule on the int64 partial index, never on a narrow row.
 
-    Digits are not range-checked.
+    The rows broadcast: a row of a larger shape widens the index from its
+    step on.  Digits are not range-checked.
     """
     idx = np.array(digits[0], dtype=np.int64)
     for row, radix in zip(digits[1:], radices[1:], strict=True):
         idx *= radix
-        idx += row
+        if np.broadcast_shapes(idx.shape, np.shape(row)) == idx.shape:
+            idx += row
+        else:
+            idx = idx + row
     return idx
 
 

@@ -301,19 +301,22 @@ class PerfectLeeCode:
                 x = [(a - m * b) % q for a, b in zip(x, self.digit_rows[d])]
         return digits, x
 
-    # -- bulk kernel (int16 columns: a batch is one 1-D array per coordinate) --
+    # -- bulk kernel (int16 columns: a batch is one array per coordinate, the
+    #    arrays broadcast to one shape and run raveled, as 1-D columns) --
 
     def encode(self, digits: Sequence[np.ndarray], slot: np.ndarray) -> list[np.ndarray]:
         """The n anchor columns: the n-1 digit columns times the digit rows, plus the slot offset.
 
         Row i is codeword_from_rank(j, r) + offsets[slot[i]] where the
         digits of row i are hypercube_from_lin(j * q^(n-2) + r, q, n-1);
-        not range-checked.
+        not range-checked.  The columns have the shape the digits and slot
+        broadcast to.
         """
+        (*digits, slot), shape = _flat([*digits, slot])
         point = _sums(digits, self._row_terms, self._dtype)
         point += slot == self._plus_slots
         point -= slot == self._minus_slots
-        return [self._reduce(column) for column in point]
+        return [self._reduce(column).reshape(shape) for column in point]
 
     def decode(
         self, anchor: Sequence[np.ndarray]
@@ -325,9 +328,11 @@ class PerfectLeeCode:
         ``digits`` holds the n-1 int16 digit columns in encode's order.
         ``bad`` flags rows whose point is not its digits times the digit
         rows, where the peel would leave a rest: the point is off the
-        generator lattice, and its digits are meaningless.
+        generator lattice, and its digits are meaningless.  Each output has
+        the shape the anchor columns broadcast to.
         """
         reduce, dtype = self._reduce, self._dtype
+        anchor, shape = _flat(anchor)
         # the slot of the syndrome h.anchor mod q
         slot = self._slot_of.take(reduce(_sums(anchor, self._syndrome_terms, dtype)[0]))
         # the point, left unreduced in [-1, q]: anchor minus the slot offset
@@ -341,7 +346,7 @@ class PerfectLeeCode:
         bad = np.zeros(len(slot), dtype=dtype)
         for r in rest:
             bad |= reduce(r)
-        return digits, slot, bad != 0
+        return [d.reshape(shape) for d in digits], slot.reshape(shape), (bad != 0).reshape(shape)
 
     def _reduce(self, s: np.ndarray) -> np.ndarray:
         """s mod q for -(n q^2 + 2q) <= s < n q^2 + 2q."""
@@ -442,12 +447,12 @@ class PackingReport(NamedTuple):
 
 
 def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None:
-    """ValueError unless mode is known, exhaustive only at n <= 6, samples in [1, MAX_SAMPLES]
+    """ValueError unless mode is known, exhaustive only at n <= 7, samples in [1, MAX_SAMPLES]
     and seed >= 0."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
-    if mode == "exhaustive" and n > 6:
-        raise ValueError("exhaustive verification is only supported for n <= 6; use --mode sampled")
+    if mode == "exhaustive" and n > 7:
+        raise ValueError("exhaustive verification is only supported for n <= 7; use --mode sampled")
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples}")
     if samples > MAX_SAMPLES:
@@ -464,6 +469,17 @@ def _peel_schedule(n: int) -> tuple[tuple[int, int], ...]:
 def _terms(matrix: Sequence[Sequence[int]], q: int) -> tuple[tuple[tuple[int, int], ...], ...]:
     """For each column of matrix mod q, its nonzero (row, entry) pairs."""
     return tuple(tuple((i, a % q) for i, a in enumerate(col) if a % q) for col in zip(*matrix))
+
+
+def _flat(rows: Sequence[np.ndarray]) -> tuple[list[np.ndarray], tuple[int, ...]]:
+    """(rows, shape): the rows broadcast to one shape, each raveled to a 1-D column.
+
+    The kernel runs on 1-D columns; a batch of any shape, such as digit rows
+    that broadcast against an orientation row, is raveled in and given back
+    in its shape.  Rows of one 1-D shape are returned as they are.
+    """
+    rows = np.broadcast_arrays(*rows)
+    return [row.reshape(-1) for row in rows], rows[0].shape
 
 
 def _sums(columns: Sequence[np.ndarray], terms, dtype) -> np.ndarray:

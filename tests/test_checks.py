@@ -1,3 +1,5 @@
+import collections
+import itertools
 from fractions import Fraction
 
 import numpy as np
@@ -112,12 +114,12 @@ class TestRunVerification:
             run_verification(5, mode, samples=MAX_SAMPLES + 1)
         assert str(exc.value) == f"samples must be <= 100000000, got {MAX_SAMPLES + 1}"
 
-    @pytest.mark.parametrize("n", [7, 13])
+    @pytest.mark.parametrize("n", [8, 13])
     def test_rejects_exhaustive_above_n5(self, n):
         with pytest.raises(ValueError) as exc:
             run_verification(n, "exhaustive")
         assert str(exc.value) == (
-            "exhaustive verification is only supported for n <= 6; use --mode sampled"
+            "exhaustive verification is only supported for n <= 7; use --mode sampled"
         )
 
 
@@ -273,3 +275,118 @@ class TestSweepPieces:
             assert leak.endswith(f"leaves section {target // (map5.n_faces // map5.q)}")
         else:
             assert leak == f"{SAMPLE_CAP} sampled addresses stay in their section, orientation intact"
+
+
+
+def generator_faults(n):
+    """+-1 in each entry of each generator row."""
+    gens = build_generators(n)
+    rows = [list(row) for row in gens.rows()]
+    for i, j, step in itertools.product(range(n), range(n), (1, -1)):
+        rows[i][j] += step
+        yield PerfectLeeCode(gens._replace(
+            v=tuple(rows[0]), v1=tuple(rows[1]),
+            middle=tuple(map(tuple, rows[2:-1])), v_last=tuple(rows[-1]),
+        ))
+        rows[i][j] -= step
+
+
+def term_faults(n, table):
+    """+1 mod q in each entry of one of the kernel's term tables."""
+    terms = getattr(generator_matrix(n), table)
+    for c, column in enumerate(terms):
+        for t, (row, entry) in enumerate(column):
+            code = generator_matrix(n)
+            faulty = [list(col) for col in terms]
+            faulty[c][t] = (row, (entry + 1) % code.q)
+            setattr(code, table, tuple(map(tuple, faulty)))
+            yield code
+
+
+def slot_faults(n):
+    """Each swap of _slot_of[0] with another entry."""
+    for j in range(1, 2 * n + 1):
+        code = generator_matrix(n)
+        code._slot_of = code._slot_of.copy()
+        code._slot_of[[0, j]] = code._slot_of[[j, 0]]
+        yield code
+
+
+# the ends and the middle of the _mod entries verify reads: -q..201 at n = 5
+# (exhaustive) and -q..799 at n = 8 (sampled); the table is sized for sums up
+# to n q^2 + 2q, and the entries past these are never read
+MOD_ENTRIES = {5: (0, 1, 100, 201, -1, -11), 8: (0, 1, 400, 799, -1, -17)}
+
+
+def mod_faults(n):
+    """+1 mod q in each of MOD_ENTRIES[n]."""
+    for e in MOD_ENTRIES[n]:
+        code = generator_matrix(n)
+        code._mod = code._mod.copy()
+        code._mod[e] = (code._mod[e] + 1) % code.q
+        yield code
+
+
+FAULTS = {"generator": generator_faults, "_slot_of": slot_faults, "_mod": mod_faults}
+KERNEL = ("codeword_bijection", "packing", "roundtrip", "section_confinement")
+TABLES = ("_row_terms", "_peel_terms", "_syndrome_terms", "_slot_of", "_mod")
+
+
+class TestFaultSweep:
+    """Every single-entry fault in the generator or in a kernel table that verify reads fails a check.
+
+    Each case injects every fault of one class into a fresh code and runs
+    ``run_verification`` on it, sampled with few samples where that still
+    reaches every fault, exhaustive for the n = 5 ``_mod`` entries.  Each
+    fault must fail at least one check, and the number of faults that each
+    check fails is pinned, so a check that goes vacuous changes the table:
+
+    ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
+    class (n = 5)       faults  det  orth  res  chain  bij  mind  secd  pack  trip  conf
+    ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
+    generator +-1       50      28   50         50     40   39    20    40    40    40
+    _row_terms +1       11                             11               11    11    11
+    _peel_terms +1      6                              6                6     6     6
+    _syndrome_terms +1  5                              5                5     5     5
+    _slot_of swaps      10                10           10               10    10    10
+    _mod +1             6                              3                5     6     6
+    ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
+
+    At n = 8 the kernel tables show the same pattern (29, 12, 8, 16 and 6
+    faults).  Every check fails on some class, and none is ever the only one
+    to fail a fault: orthogonality and chain_membership fail on every
+    generator fault, and roundtrip and section_confinement on every table
+    fault.  ``_offset_columns`` is the one array table that no certificate
+    reads: only ``interleave._place`` reads it, to place spheres for
+    ``simulate`` and ``make_burst``, and ``test_draws_are_pinned[aligned]`` in
+    ``test_interleave.py`` guards it.
+    """
+
+    @pytest.mark.parametrize(("n", "kind", "mode", "samples", "expected"), [
+        (5, "generator", "sampled", 200, {
+            "determinant": 28, "orthogonality": 50, "chain_membership": 50,
+            "codeword_bijection": 40, "min_distance": 39, "section_distance": 20,
+            "packing": 40, "roundtrip": 40, "section_confinement": 40}),
+        (5, "_row_terms", "sampled", 200, dict.fromkeys(KERNEL, 11)),
+        (5, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 6)),
+        (5, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 5)),
+        (5, "_slot_of", "sampled", 200, dict.fromkeys(("residue_coverage", *KERNEL), 10)),
+        (5, "_mod", "exhaustive", 1, {
+            "codeword_bijection": 3, "packing": 5, "roundtrip": 6, "section_confinement": 6}),
+        (8, "_row_terms", "sampled", 200, dict.fromkeys(KERNEL, 29)),
+        (8, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 12)),
+        (8, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 8)),
+        (8, "_slot_of", "sampled", 200, dict.fromkeys(("residue_coverage", *KERNEL), 16)),
+        # 200 samples never form the sum 400
+        (8, "_mod", "sampled", 2000, {
+            "codeword_bijection": 3, "packing": 6, "roundtrip": 6, "section_confinement": 6}),
+    ], ids=[f"n5-{kind}" for kind in ("generator", *TABLES)] + [f"n8-{kind}" for kind in TABLES])
+    def test_every_fault_fails_a_check(self, n, kind, mode, samples, expected):
+        failures = collections.Counter()
+        faults = FAULTS[kind](n) if kind in FAULTS else term_faults(n, kind)
+        for i, code in enumerate(faults):
+            results = run_verification(n, mode, samples=samples, code=code)
+            failed = [r.name for r in results if not r.ok]
+            assert failed, f"{kind} fault {i} passes every check"
+            failures.update(failed)
+        assert dict(failures) == expected

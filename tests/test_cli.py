@@ -207,6 +207,53 @@ class TestVerify:
             "orientation changed at LogicalAddress(section=0, rank=0, orientation=0, position=0)"
         )
 
+    @pytest.mark.parametrize(
+        ("side", "argv", "trip", "leak"),
+        [
+            ("forward", ["--n", "5", "--mode", "exhaustive"], 26620,
+             "section=9, rank=121, orientation=0, position=0) leaves section 9"),
+            ("inverse", ["--n", "5", "--mode", "exhaustive"], 133100,
+             "section=0, rank=1210, orientation=0, position=0) leaves section 0"),
+            ("forward", ["--n", "6", "--mode", "sampled", "--samples", "20000", "--seed", "3"],
+             70636288, "section=12, rank=19505, orientation=5, position=8) leaves section 12"),
+            ("inverse", ["--n", "6", "--mode", "sampled", "--samples", "20000", "--seed", "3"],
+             27844649, "section=4, rank=28549, orientation=1, position=1) leaves section 4"),
+        ],
+        ids=["forward-n5-exhaustive", "inverse-n5-exhaustive", "forward-n6-sampled",
+             "inverse-n6-sampled"],
+    )
+    def test_orientation_coupled_fault_fails_map_checks(
+        self, capsys, monkeypatch, side, argv, trip, leak
+    ):
+        # A fault that couples the orientation to another digit: exhaustive pieces
+        # carry o as one (alpha, 1) row, so the faulty row spans the piece's full
+        # grid of slots.  The witnesses are the ones the per-face sweep gave.
+        forward, inverse = InterleavingMap.forward_digits, InterleavingMap.inverse_digits
+
+        def forward_coupled(self, logical):
+            # the first anchor coordinate q - 1 wraps to 0 where o is the second mod alpha
+            first, second, *rest, o = forward(self, logical)
+            hit = (o == second % self.alpha) & (first == self.q - 1)
+            return [(first + hit) % self.q, second, *rest, o]
+
+        def inverse_coupled(self, face):
+            # the section moves on in the last block where o is the position mod alpha
+            (section, block, *rest, o, p), bad = inverse(self, face)
+            hit = (o == p % self.alpha) & (block == self.q - 1)
+            return [(section + hit) % self.q, block, *rest, o, p], bad
+
+        if side == "forward":
+            monkeypatch.setattr(InterleavingMap, "forward_digits", forward_coupled)
+        else:
+            monkeypatch.setattr(InterleavingMap, "inverse_digits", inverse_coupled)
+        code, out, _ = run(capsys, "verify", *argv, "--format", "json")
+        assert code == 1
+        checks = {c["name"]: c for c in json.loads(out)["checks"]}
+        assert checks["roundtrip"]["detail"] == f"round-trip mismatch at logical index {trip}"
+        assert checks["section_confinement"]["detail"] == (
+            f"physical codeword of LogicalAddress({leak}"
+        )
+
     def test_scalar_map_fault_fails_roundtrip_only(self, capsys, monkeypatch):
         forward = InterleavingMap.forward_index
         monkeypatch.setattr(InterleavingMap, "forward_index", lambda self, i: forward(self, i) + 1)
@@ -295,9 +342,9 @@ class TestVerify:
 
     def test_exhaustive_rejected_above_n5(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["verify", "--n", "7", "--mode", "exhaustive"])
+            main(["verify", "--n", "8", "--mode", "exhaustive"])
         assert exc.value.code == 2
-        assert "exhaustive verification is only supported for n <= 6" in capsys.readouterr().err
+        assert "exhaustive verification is only supported for n <= 7" in capsys.readouterr().err
 
     def test_sampled_defaults_for_larger_n(self, capsys):
         code, out, _ = run(
@@ -599,8 +646,9 @@ class TestExportMap:
 
     @pytest.mark.parametrize("fmt", ["csv", "binary"])
     def test_small_pieces_write_the_same_bytes(self, tmp_path, capsys, monkeypatch, fmt):
-        # 394 pieces: the logical width grows from 4 to 7 digits, and the last piece
-        # has 1961 rows, so a byte left over from a longer or wider piece would show
+        # 396 pieces of 37 prefixes (4070 rows): the logical width grows from 4 to 7
+        # digits, and the last piece has 2860 rows, so a byte left over from a longer
+        # or wider piece would show
         monkeypatch.setattr(leecode, "SWEEP_CHUNK", 4093)
         out_path = tmp_path / f"permutation.{fmt}"
         code, _, _ = run(
@@ -608,6 +656,17 @@ class TestExportMap:
         )
         assert code == 0
         assert hashlib.sha256(out_path.read_bytes()).hexdigest() == EXPORT_SHA256[fmt]
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_physical_pieces_are_forward_indices(self, n):
+        # the export's column over its first two pieces, of whole prefixes and at
+        # most SWEEP_CHUNK slots each, against forward_indices
+        map_ = InterleavingMap(generator_matrix(n))
+        size = leecode.SWEEP_CHUNK // (map_.alpha * map_.q) * map_.alpha * map_.q
+        (start0, first), (start1, second) = itertools.islice(cli._physical_pieces(map_), 2)
+        assert (start0, len(first), start1, len(second)) == (0, size, size, size)
+        physical = np.concatenate([first, second])
+        assert np.array_equal(physical, map_.forward_indices(np.arange(2 * size)))
 
     def test_binary_export_streams_to_a_pipe(self, tmp_path, capsys):
         fifo = tmp_path / "permutation.fifo"

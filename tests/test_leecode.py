@@ -524,9 +524,9 @@ class TestPerfectPacking:
     @pytest.mark.parametrize("code_n, args, message", [
         (5, ("sampled", 0, 0), "samples must be >= 1, got 0"),
         (5, ("sampled", 10, -1), "seed must be >= 0, got -1"),
-        (7, ("exhaustive", 10, 0),
-         "exhaustive verification is only supported for n <= 6; use --mode sampled"),
-    ], ids=["zero-samples", "negative-seed", "exhaustive-n7"])
+        (8, ("exhaustive", 10, 0),
+         "exhaustive verification is only supported for n <= 7; use --mode sampled"),
+    ], ids=["zero-samples", "negative-seed", "exhaustive-n8"])
     def test_run_verification_rules_hold(self, code_n, args, message):
         # checked before any hypercube is built
         with pytest.raises(ValueError) as exc:

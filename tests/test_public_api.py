@@ -102,6 +102,22 @@ def test_numpy_runs_only_for_the_array_commands(probe, loads):
     assert out.stdout.splitlines()[-1] == str(loads)
 
 
+def test_numpy_loads_before_the_first_timed_check():
+    # verify's text report times each check, so NumPy's import (~0.15 s) is paid
+    # before the first of them, not in the first check that reads an array
+    out = fresh_python(
+        "import sys\n"
+        "from leetoric import checks\n"
+        "first = checks._check_determinant\n"
+        "def _check_determinant(*args):\n"
+        "    print(any(m.startswith('numpy.') for m in sys.modules))\n"
+        "    return first(*args)\n"
+        "checks._check_determinant = _check_determinant\n"
+        "print(checks.run_verification(5, 'sampled', samples=10)[0].ok)\n"
+    )
+    assert (out.returncode, out.stdout) == (0, "True\nTrue\n"), out.stderr
+
+
 def test_import_fails_without_numpy():
     # NumPy loads late, but its absence still shows when the package is imported
     out = fresh_python("import sys; sys.modules['numpy'] = None; import leetoric")
