@@ -297,30 +297,29 @@ def _check_burst_rules(n: int, model: str, count: int | None) -> None:
 
 def _draw(
     map_: InterleavingMap, model: str, rng: np.random.Generator, count: int | None
-) -> tuple[list, list]:
-    """The rng calls of one burst, as (heads, orientations), two lists of draws.
+) -> np.ndarray:
+    """The rng call of one burst, whose bounds and their order define the models of make_burst.
 
-    The calls, with their bounds, sizes and order, define the models of
-    make_burst.  uniform-random draws its face indices, its one head.  A
-    sphere model draws its center (aligned: a rank), then q orientations,
-    sphere by sphere; aligned makes its orientation draws too, though
-    only make_burst reads them.
+    uniform-random draws its ``count`` face indices.  A sphere model makes
+    one call for a (spheres, width) array, a row per sphere: its center
+    (aligned: a rank; multi-translate: all but the section), then its q
+    orientations, which aligned draws though only make_burst reads them.
     """
     code, n, q = map_.code, map_.n, map_.q
     if model == "uniform-random":
-        return [_sample_distinct(rng, map_.n_faces, count)], []
-    if model == "translate":  # the center, then the orientations
-        return [rng.integers(0, q, size=n)], [rng.integers(0, code.alpha, size=q)]
-    bound, size = (code.codewords_per_section, None) if model == "aligned" else (q, n - 1)
-    heads, orientations = [], []
-    for _ in range(q):
-        heads.append(rng.integers(0, bound, size=size))
-        orientations.append(rng.integers(0, code.alpha, size=q))
-    return heads, orientations
+        return _sample_distinct(rng, map_.n_faces, count)
+    if model == "translate":
+        spheres, head = 1, [q] * n
+    elif model == "aligned":
+        spheres, head = q, [code.codewords_per_section]
+    else:
+        spheres, head = q, [q] * (n - 1)
+    highs = (head + [code.alpha] * q) * spheres
+    return rng.integers(0, highs).reshape(spheres, -1)
 
 
 def _place(
-    map_: InterleavingMap, model: str, draws: Sequence[tuple[list, list]]
+    map_: InterleavingMap, model: str, draws: Sequence[np.ndarray]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The faces of a chunk of bursts, one _draw each: (anchors, orientations, centers, owner).
 
@@ -329,23 +328,21 @@ def _place(
     their draw order.
     """
     code, n, q = map_.code, map_.n, map_.q
-    heads = [head for trial, _ in draws for head in trial]
+    drawn = np.concatenate(draws)
     if model == "uniform-random":
-        digits = digits_of(np.concatenate(heads), map_.face_radices)
+        digits = digits_of(drawn, map_.face_radices)
         anchors, orientations, centers = digits[:-1], digits[-1], np.empty((n, 0), np.int16)
     else:
-        orientations = np.concatenate([o for _, trial in draws for o in trial])
+        heads, orientations = drawn[:, :-q].T, drawn[:, -q:].reshape(-1)
         sections = np.tile(np.arange(q, dtype=np.int16), len(draws))
         if model == "aligned":
-            ranks = digits_of(np.array(heads, dtype=np.int64), (q,) * (n - 2))
+            ranks = digits_of(heads[0], (q,) * (n - 2))
             centers = np.array(code.encode([sections, *ranks], np.zeros_like(sections)))
         else:  # the heads are whole centers (translate) or all but the section
-            centers = np.concatenate(heads).reshape(len(heads), -1).T
-            if model == "multi-translate":
-                centers = np.vstack([sections, centers])
-        # each center plus every slot offset, sphere by sphere
-        anchors = code._reduce(centers[:, :, None] + code._offset_columns[:, None, :])
-        anchors = anchors.reshape(n, -1)
+            centers = np.vstack([sections, heads]) if model == "multi-translate" else heads
+        # each center moved by every slot offset, sphere by sphere
+        slots = np.tile(np.arange(q, dtype=np.int16), centers.shape[1])
+        anchors = code._reduce(code._shift(np.repeat(centers, q, axis=1), slots, 1))
     owner = np.repeat(np.arange(len(draws)), anchors.shape[1] // len(draws))
     if model == "multi-translate":  # keep the first face drawn on each hypercube of a burst
         order, starts = _runs([*anchors, owner], max(q, len(draws)))

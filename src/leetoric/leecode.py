@@ -184,11 +184,6 @@ class PerfectLeeCode:
         return np.int64 if self._mod is None else np.int16
 
     @cached_property
-    def _offset_columns(self) -> np.ndarray:
-        # the offsets as columns, row i entry b is offsets[b][i]
-        return np.array(self.offsets, dtype=np.int16).T
-
-    @cached_property
     def _plus_slots(self) -> np.ndarray:
         # slot 2i+1 (_plus_slots[i]) is +e_i and slot 2i+2 (_minus_slots[i]) is -e_i
         return np.arange(1, self.q, 2, dtype=np.int16)[:, None]
@@ -313,9 +308,7 @@ class PerfectLeeCode:
         broadcast to.
         """
         (*digits, slot), shape = _flat([*digits, slot])
-        point = _sums(digits, self._row_terms, self._dtype)
-        point += slot == self._plus_slots
-        point -= slot == self._minus_slots
+        point = self._shift(_sums(digits, self._row_terms, self._dtype), slot, 1)
         return [self._reduce(column).reshape(shape) for column in point]
 
     def decode(
@@ -336,9 +329,7 @@ class PerfectLeeCode:
         # the slot of the syndrome h.anchor mod q
         slot = self._slot_of.take(reduce(_sums(anchor, self._syndrome_terms, dtype)[0]))
         # the point, left unreduced in [-1, q]: anchor minus the slot offset
-        point = np.array(anchor, dtype=dtype)
-        point -= slot == self._plus_slots
-        point += slot == self._minus_slots
+        point = self._shift(np.array(anchor, dtype=dtype), slot, -1)
         digits = [reduce(s) for s in _sums(point, self._peel_terms, dtype)]
         # a row is bad where some coordinate of its rest is nonzero mod q
         rest = _sums(digits, self._row_terms, dtype)
@@ -347,6 +338,17 @@ class PerfectLeeCode:
         for r in rest:
             bad |= reduce(r)
         return [d.reshape(shape) for d in digits], slot.reshape(shape), (bad != 0).reshape(shape)
+
+    def _shift(self, point: np.ndarray, slot: np.ndarray, sign: int) -> np.ndarray:
+        """The (n, m) point rows plus sign times each column's slot offset, in place and unreduced.
+
+        encode, decode and burst placement all move points by this one rule, which
+        builds one (n, m) compare mask at a time; sign -1 swaps the two slot tables.
+        """
+        plus, minus = (self._plus_slots, self._minus_slots)[::sign]
+        point += slot == plus
+        point -= slot == minus
+        return point
 
     def _reduce(self, s: np.ndarray) -> np.ndarray:
         """s mod q for -(n q^2 + 2q) <= s < n q^2 + 2q."""

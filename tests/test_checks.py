@@ -318,18 +318,27 @@ def slot_faults(n):
 MOD_ENTRIES = {5: (0, 1, 100, 201, -1, -11), 8: (0, 1, 400, 799, -1, -17)}
 
 
-def mod_faults(n):
-    """+1 mod q in each of MOD_ENTRIES[n]."""
-    for e in MOD_ENTRIES[n]:
+def array_faults(n, table, entries):
+    """+1 mod q in each of the given entries of one of the kernel's array tables."""
+    for e in entries:
         code = generator_matrix(n)
-        code._mod = code._mod.copy()
-        code._mod[e] = (code._mod[e] + 1) % code.q
+        faulty = getattr(code, table).copy()
+        faulty[e] = (faulty[e] + 1) % code.q
+        setattr(code, table, faulty)
         yield code
 
 
-FAULTS = {"generator": generator_faults, "_slot_of": slot_faults, "_mod": mod_faults}
+FAULTS = {
+    "generator": generator_faults,
+    "_slot_of": slot_faults,
+    "_mod": lambda n: array_faults(n, "_mod", MOD_ENTRIES[n]),
+    # the slot-shift tables: entry i is the slot that moves coordinate i
+    "_plus_slots": lambda n: array_faults(n, "_plus_slots", range(n)),
+    "_minus_slots": lambda n: array_faults(n, "_minus_slots", range(n)),
+}
 KERNEL = ("codeword_bijection", "packing", "roundtrip", "section_confinement")
-TABLES = ("_row_terms", "_peel_terms", "_syndrome_terms", "_slot_of", "_mod")
+TABLES = ("_row_terms", "_peel_terms", "_syndrome_terms", "_slot_of", "_mod",
+          "_plus_slots", "_minus_slots")
 
 
 class TestFaultSweep:
@@ -350,16 +359,18 @@ class TestFaultSweep:
     _syndrome_terms +1  5                              5                5     5     5
     _slot_of swaps      10                10           10               10    10    10
     _mod +1             6                              3                5     6     6
+    _plus_slots +1      5                                               5     5
+    _minus_slots +1     5                              1                5     5     5
     ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
 
-    At n = 8 the kernel tables show the same pattern (29, 12, 8, 16 and 6
-    faults).  Every check fails on some class, and none is ever the only one
-    to fail a fault: orthogonality and chain_membership fail on every
-    generator fault, and roundtrip and section_confinement on every table
-    fault.  ``_offset_columns`` is the one array table that no certificate
-    reads: only ``interleave._place`` reads it, to place spheres for
-    ``simulate`` and ``make_burst``, and ``test_draws_are_pinned[aligned]`` in
-    ``test_interleave.py`` guards it.
+    At n = 8 the kernel tables show the same pattern (29, 12, 8, 16, 6, 8
+    and 8 faults).  Every check fails on some class, and none is ever the
+    only one to fail a fault: orthogonality and chain_membership fail on
+    every generator fault, and roundtrip with packing or section_confinement
+    on every table fault.  ``_plus_slots`` and ``_minus_slots`` are the
+    slot-shift tables that encode, decode and the burst placement of
+    ``simulate`` and ``make_burst`` all read, so the certificates cover
+    placement too.
     """
 
     @pytest.mark.parametrize(("n", "kind", "mode", "samples", "expected"), [
@@ -373,6 +384,9 @@ class TestFaultSweep:
         (5, "_slot_of", "sampled", 200, dict.fromkeys(("residue_coverage", *KERNEL), 10)),
         (5, "_mod", "exhaustive", 1, {
             "codeword_bijection": 3, "packing": 5, "roundtrip": 6, "section_confinement": 6}),
+        (5, "_plus_slots", "sampled", 200, {"packing": 5, "roundtrip": 5}),
+        (5, "_minus_slots", "sampled", 200, {
+            "codeword_bijection": 1, "packing": 5, "roundtrip": 5, "section_confinement": 5}),
         (8, "_row_terms", "sampled", 200, dict.fromkeys(KERNEL, 29)),
         (8, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 12)),
         (8, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 8)),
@@ -380,6 +394,9 @@ class TestFaultSweep:
         # 200 samples never form the sum 400
         (8, "_mod", "sampled", 2000, {
             "codeword_bijection": 3, "packing": 6, "roundtrip": 6, "section_confinement": 6}),
+        (8, "_plus_slots", "sampled", 200, {"packing": 8, "roundtrip": 8}),
+        (8, "_minus_slots", "sampled", 200, {
+            "codeword_bijection": 1, "packing": 8, "roundtrip": 8, "section_confinement": 8}),
     ], ids=[f"n5-{kind}" for kind in ("generator", *TABLES)] + [f"n8-{kind}" for kind in TABLES])
     def test_every_fault_fails_a_check(self, n, kind, mode, samples, expected):
         failures = collections.Counter()

@@ -23,7 +23,7 @@ from leetoric.interleave import (
     simulate,
     trial_rng,
 )
-from leetoric.lattice import digits_of, hypercube_from_lin, lin_indices
+from leetoric.lattice import digits_of, hypercube_from_lin, hypercube_lin_index, lin_indices
 from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
 from leetoric.toric import face_from_lin
 
@@ -329,6 +329,29 @@ class TestMakeBurst:
                 got = _sample_distinct(np.random.default_rng(seed), total, k)
                 assert got.tolist() == loop(np.random.default_rng(seed), total, k)
 
+    @pytest.mark.parametrize("n", [5, 9, 10, 14])  # aligned's bound passes 2^32 at n = 10
+    @pytest.mark.parametrize("model", ["translate", "aligned", "multi-translate"])
+    def test_one_draw_call_replays_the_per_sphere_calls(self, model, n):
+        def loop(rng, q, alpha, per_section):
+            if model == "translate":  # the center, then the orientations
+                return [rng.integers(0, q, size=n), rng.integers(0, alpha, size=q)]
+            bound, size = (per_section, None) if model == "aligned" else (q, n - 1)
+            draws = []
+            for _ in range(q):  # each sphere's head, then its orientations
+                draws.append(rng.integers(0, bound, size=size))
+                draws.append(rng.integers(0, alpha, size=q))
+            return draws
+
+        map_ = MAPS.get(n) or InterleavingMap(generator_matrix(n))
+        q, spheres = map_.q, 1 if model == "translate" else map_.q
+        for trial in range(200):
+            got_rng, want_rng = trial_rng(9, trial), trial_rng(9, trial)
+            got = interleave._draw(map_, model, got_rng, None)
+            want = loop(want_rng, q, map_.alpha, map_.code.codewords_per_section)
+            assert got.dtype == np.int64 and got.shape[0] == spheres
+            assert got.ravel().tolist() == np.concatenate([np.atleast_1d(w) for w in want]).tolist()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
     def test_unknown_model(self, map5):
         with pytest.raises(ValueError, match="unknown burst model"):
             make_burst(map5, "diagonal")
@@ -362,18 +385,38 @@ class TestMakeBurst:
         assert len(points) == len(set(points))  # one error per hypercube
         assert len(burst.faces) <= 121
 
-    def test_multi_translate_one_face_per_covered_hypercube(self, map5, code5):
+    # n = 20 runs the slot shift on int64, past the _mod table; aligned stops at n = 14
+    @pytest.mark.parametrize("model, n", [
+        ("aligned", 5), ("translate", 5), ("multi-translate", 5),
+        ("aligned", 14), ("translate", 20), ("multi-translate", 20),
+    ])
+    def test_one_face_per_covered_hypercube(self, model, n):
+        # the scalar placement of the same draw: sphere j's center from its head,
+        # then its anchor center + offsets[b] with orientation b, the first
+        # face drawn on each hypercube kept
+        map_ = MAPS.get(n) or InterleavingMap(generator_matrix(n))
+        code, q = map_.code, map_.q
         overlapped = 0
-        for seed in [*range(10), 317, 459, 2070]:  # spheres overlap at the last three
-            burst = make_burst(map5, "multi-translate", seed)
-            covered = {
-                tuple((c + d) % 11 for c, d in zip(center, off))
-                for center in burst.centers for off in code5.offsets
-            }
-            assert set(anchors(burst)) == covered
-            assert len(burst.faces) == len(covered)
-            overlapped += len(covered) < 121
-        assert overlapped == 3
+        # at n = 5 the multi-translate spheres overlap at the last three seeds
+        for seed in [*range(10), 317, 459, 2070]:
+            burst = make_burst(map_, model, seed)
+            drawn = interleave._draw(map_, model, np.random.default_rng(seed), None).tolist()
+            if model == "aligned":
+                centers = [code.codeword_from_rank(j, row[0]).point for j, row in enumerate(drawn)]
+            elif model == "translate":
+                centers = [tuple(drawn[0][:-q])]
+            else:
+                centers = [(j, *row[:-q]) for j, row in enumerate(drawn)]
+            assert burst.centers == tuple(centers)
+            faces = {}
+            for center, row in zip(centers, drawn):
+                for off, o in zip(code.offsets, row[-q:]):
+                    anchor = tuple((c + d) % q for c, d in zip(center, off))
+                    faces.setdefault(anchor, hypercube_lin_index(anchor, q) * map_.alpha + o)
+            assert burst.faces == set(faces.values())
+            assert {face_from_lin(f, n, q)[0] for f in burst.faces} == faces.keys()
+            overlapped += len(faces) < q * len(centers)
+        assert overlapped == (3 if (model, n) == ("multi-translate", 5) else 0)
 
     def test_uniform_random_counts(self, map5):
         assert make_burst(map5, "uniform-random", 8, count=0).faces == frozenset()

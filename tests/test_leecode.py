@@ -298,7 +298,7 @@ class TestBulkKernel:
                 bad_code.tile_assign(zt)
 
 
-ARRAY_TABLES = ("_slot_of", "_mod", "_dtype", "_offset_columns", "_plus_slots", "_minus_slots")
+ARRAY_TABLES = ("_slot_of", "_mod", "_dtype", "_plus_slots", "_minus_slots")
 
 
 @pytest.mark.parametrize("n", [5, 12, 19, 20])
@@ -316,7 +316,7 @@ def test_array_tables_do_not_depend_on_the_first_call(n):
         else:  # _dtype, and _mod past n = 19
             assert a is b, name
     assert np.array_equal(scalar._minus_slots, scalar._plus_slots + 1)
-    assert scalar._offset_columns.dtype == scalar._slot_of.dtype == np.int16
+    assert scalar._slot_of.dtype == np.int16
 
 
 CODES = {n: generator_matrix(n) for n in range(5, 21)}
