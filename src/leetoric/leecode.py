@@ -29,7 +29,6 @@ from .lattice import (
     det_adj,
     digits_of,
     hypercube_from_lin,
-    hypercube_lin_index,
     lin_indices,
     mannheim_weight,
     slot_offset,
@@ -49,19 +48,19 @@ MAX_SAMPLES = 10**8
 def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[int, np.ndarray]]:
     """The (start, piece) pairs of a bulk sweep, SWEEP_CHUNK rows a piece, start the piece's offset.
 
-    ``exhaustive``: the int64 ranges of [0, total), in order; ``sampled``:
-    the pieces of the one draw default_rng(seed).integers(0, total, (k, *row),
-    int64), the same however it is pieced since the stream carries over.
-    Each piece is a fresh array, never a view of an earlier one, so a
-    caller may hold a piece while it takes the next.
+    ``exhaustive``: the int64 ranges of [0, total), in order; ``sampled``: the
+    pieces of the one draw default_rng(seed).integers(0, total, (k, *row), int64),
+    int32 if total <= 2^31 (one 32-bit path draws both), the same however it is
+    pieced since the stream carries over.  Each piece is a fresh array, never a
+    view of an earlier one, so a caller may hold a piece while it takes the next.
     """
     if mode == "exhaustive":
         for start in range(0, total, SWEEP_CHUNK):
             yield start, np.arange(start, min(start + SWEEP_CHUNK, total), dtype=np.int64)
     else:
-        rng = np.random.default_rng(seed)
+        rng, dtype = np.random.default_rng(seed), np.int32 if total <= 2**31 else np.int64
         for start in range(0, k, SWEEP_CHUNK):
-            yield start, rng.integers(0, total, (min(SWEEP_CHUNK, k - start), *row), np.int64)
+            yield start, rng.integers(0, total, (min(SWEEP_CHUNK, k - start), *row), dtype)
 
 
 class GeneratorSet(NamedTuple):
@@ -150,6 +149,10 @@ class PerfectLeeCode:
         # coordinate, then subtracts the digit's row, in this order.
         self.digit_rows = tuple(self.matrix[i] for i in [n - 1, *range(n - 2, 1, -1), 0])
         self.peel = _peel_schedule(n)
+        # The scalar oracle's own tables, apart from the kernel's: the digit
+        # rows' columns, and each digit row's nonzero (coordinate, entry) pairs.
+        self._digit_columns = tuple(zip(*self.digit_rows))
+        self._digit_support = _terms(self._digit_columns, q)
         # The bulk kernel's exact-int tables.  The peel is linear mod q, so it
         # is one matrix B, row i the peel of e_i: digits = x.B mod q.
         self._syndrome_terms = _terms([[h] for h in self.h], q)
@@ -170,18 +173,11 @@ class PerfectLeeCode:
         return np.argsort(syndromes).astype(np.int16)
 
     @cached_property
-    def _mod(self) -> np.ndarray | None:
-        # Every column sum the kernel forms has |sum| < n q^2 + 2q (7550 at
-        # n = 12), so up to n = 19 the sums are int16 and mod q is one lookup
-        # in _mod; past that they are int64 and reduced by arithmetic.  _mod's
-        # length is a multiple of q, so a negative index, which counts from
-        # its end, also lands on its residue.
-        bound = self.n * self.q**2 + 2 * self.q
-        return (np.arange(bound) % self.q).astype(np.int16) if bound <= 2**15 else None
-
-    @cached_property
     def _dtype(self) -> type:
-        return np.int64 if self._mod is None else np.int16
+        # Every column sum the kernel forms has |sum| < n q^2 + 2q (7550 at
+        # n = 12, 28977 at n = 19), so up to n = 19 the sums are int16 and
+        # past that int64.
+        return np.int16 if self.n * self.q**2 + 2 * self.q <= 2**15 else np.int64
 
     @cached_property
     def _plus_slots(self) -> np.ndarray:
@@ -267,7 +263,7 @@ class PerfectLeeCode:
         if not 0 <= r < self.codewords_per_section:
             raise ValueError(f"rank {r} out of range [0, {self.codewords_per_section})")
         digits = (j,) + hypercube_from_lin(r, q, n - 2)
-        point = (sum(m * a for m, a in zip(digits, col)) % q for col in zip(*self.digit_rows))
+        point = (sum(m * a for m, a in zip(digits, col)) % q for col in self._digit_columns)
         return Codeword(tuple(point), j, r)
 
     def rank_of(self, point: Sequence[int]) -> tuple[int, int]:
@@ -280,20 +276,23 @@ class PerfectLeeCode:
         digits, rest = self._peel(point)
         if any(rest):
             raise ValueError(f"{tuple(point)} is not a codeword")
-        return digits[0], hypercube_lin_index(digits[1:], self.q)
+        rank = 0
+        for m in digits[1:]:  # Horner's rule: the digits are residues already
+            rank = rank * self.q + m
+        return digits[0], rank
 
     def _peel(self, point: Sequence[int]) -> tuple[list[int], list[int]]:
         """(digits, rest) of the peel schedule run on a residue vector.
 
-        Each step reads one digit off its coordinate and subtracts that
-        digit's row, mod q; rest is what is left at the end.
+        Each step reads one digit off its coordinate and subtracts that digit's
+        row mod q where it is nonzero (x holds residues); rest is what is left.
         """
         q = self.q
         x, digits = list(point), [0] * (self.n - 1)
         for col, d in self.peel:
             m = digits[d] = x[col]
-            if m:
-                x = [(a - m * b) % q for a, b in zip(x, self.digit_rows[d])]
+            for c, b in self._digit_support[d]:
+                x[c] = (x[c] - m * b) % q
         return digits, x
 
     # -- bulk kernel (int16 columns: a batch is one array per coordinate, the
@@ -351,8 +350,10 @@ class PerfectLeeCode:
         return point
 
     def _reduce(self, s: np.ndarray) -> np.ndarray:
-        """s mod q for -(n q^2 + 2q) <= s < n q^2 + 2q."""
-        return s % self.q if self._mod is None else self._mod.take(s)
+        """s mod q as a _dtype column, for |s| < n q^2 + 2q: an int16 wrap of s // q * q cancels."""
+        # NumPy vectorises a floor division by a scalar, where % and a table gather are not;
+        # burst placement passes int64 sums, which narrow here as the kernel's columns do
+        return (s - s // self.q * self.q).astype(self._dtype, copy=False)
 
     # -- distance certificates -----------------------------------------
 

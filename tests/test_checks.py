@@ -312,12 +312,6 @@ def slot_faults(n):
         yield code
 
 
-# the ends and the middle of the _mod entries verify reads: -q..201 at n = 5
-# (exhaustive) and -q..799 at n = 8 (sampled); the table is sized for sums up
-# to n q^2 + 2q, and the entries past these are never read
-MOD_ENTRIES = {5: (0, 1, 100, 201, -1, -11), 8: (0, 1, 400, 799, -1, -17)}
-
-
 def array_faults(n, table, entries):
     """+1 mod q in each of the given entries of one of the kernel's array tables."""
     for e in entries:
@@ -328,49 +322,71 @@ def array_faults(n, table, entries):
         yield code
 
 
+def oracle_faults(n, table):
+    """+-1 in each entry of one of the scalar oracle's tables: a digit column's
+    entries, or the entry (not the coordinate) of each pair of a digit row's support."""
+    rows = getattr(generator_matrix(n), table)
+    for r, row in enumerate(rows):
+        for t, step in itertools.product(range(len(row)), (1, -1)):
+            code = generator_matrix(n)
+            faulty = [list(x) for x in rows]
+            entry = faulty[r][t]
+            faulty[r][t] = (entry[0], entry[1] + step) if isinstance(entry, tuple) else entry + step
+            setattr(code, table, tuple(map(tuple, faulty)))
+            yield code
+
+
 FAULTS = {
     "generator": generator_faults,
     "_slot_of": slot_faults,
-    "_mod": lambda n: array_faults(n, "_mod", MOD_ENTRIES[n]),
+    "_digit_columns": lambda n: oracle_faults(n, "_digit_columns"),
+    "_digit_support": lambda n: oracle_faults(n, "_digit_support"),
     # the slot-shift tables: entry i is the slot that moves coordinate i
     "_plus_slots": lambda n: array_faults(n, "_plus_slots", range(n)),
     "_minus_slots": lambda n: array_faults(n, "_minus_slots", range(n)),
 }
 KERNEL = ("codeword_bijection", "packing", "roundtrip", "section_confinement")
-TABLES = ("_row_terms", "_peel_terms", "_syndrome_terms", "_slot_of", "_mod",
-          "_plus_slots", "_minus_slots")
+TABLES = ("_row_terms", "_peel_terms", "_syndrome_terms", "_slot_of", "_plus_slots",
+          "_minus_slots", "_digit_columns", "_digit_support")
 
 
 class TestFaultSweep:
-    """Every single-entry fault in the generator or in a kernel table that verify reads fails a check.
+    """Every single-entry fault in the generator, a kernel table or an oracle table fails a check.
 
     Each case injects every fault of one class into a fresh code and runs
     ``run_verification`` on it, sampled with few samples where that still
-    reaches every fault, exhaustive for the n = 5 ``_mod`` entries.  Each
+    reaches every fault, exhaustive for the n = 5 oracle tables.  Each
     fault must fail at least one check, and the number of faults that each
     check fails is pinned, so a check that goes vacuous changes the table:
 
-    ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
-    class (n = 5)       faults  det  orth  res  chain  bij  mind  secd  pack  trip  conf
-    ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
-    generator +-1       50      28   50         50     40   39    20    40    40    40
-    _row_terms +1       11                             11               11    11    11
-    _peel_terms +1      6                              6                6     6     6
-    _syndrome_terms +1  5                              5                5     5     5
-    _slot_of swaps      10                10           10               10    10    10
-    _mod +1             6                              3                5     6     6
-    _plus_slots +1      5                                               5     5
-    _minus_slots +1     5                              1                5     5     5
-    ==================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
+    ===================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
+    class (n = 5)        faults  det  orth  res  chain  bij  mind  secd  pack  trip  conf
+    ===================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
+    generator +-1        50      28   50         50     40   39    20    40    40    40
+    _row_terms +1        11                             11               11    11    11
+    _peel_terms +1       6                              6                6     6     6
+    _syndrome_terms +1   5                              5                5     5     5
+    _slot_of swaps       10                10           10               10    10    10
+    _plus_slots +1       5                                               5     5
+    _minus_slots +1      5                              1                5     5     5
+    _digit_columns +-1   40                             30                     40
+    _digit_support +-1   22                             18               22    22    22
+    ===================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
 
-    At n = 8 the kernel tables show the same pattern (29, 12, 8, 16, 6, 8
-    and 8 faults).  Every check fails on some class, and none is ever the
-    only one to fail a fault: orthogonality and chain_membership fail on
-    every generator fault, and roundtrip with packing or section_confinement
-    on every table fault.  ``_plus_slots`` and ``_minus_slots`` are the
-    slot-shift tables that encode, decode and the burst placement of
-    ``simulate`` and ``make_burst`` all read, so the certificates cover
-    placement too.
+    At n = 8 the kernel tables show the same pattern (29, 12, 8, 16, 8 and
+    8 faults), and every fault of the oracle tables (112 and 58) fails the
+    codeword bijection too.  Every check fails on some class.
+    Orthogonality and chain_membership fail on every generator fault, and
+    roundtrip with packing or section_confinement on every kernel-table
+    fault.  The oracle tables, ``codeword_from_rank``'s digit columns and
+    the ``_peel`` supports that ``rank_of`` and ``tile_assign`` read, are
+    the scalar side of the cross-checks, so these faults show that the
+    cross-checks can fail.  Only the roundtrip's scalar spot-check fails
+    the 10 n = 5 faults in the section digit's column entries: the
+    bijection's scalar rows are the first codewords, all in section 0.
+    ``_plus_slots`` and ``_minus_slots`` are the slot-shift tables that
+    encode, decode and the burst placement of ``simulate`` and
+    ``make_burst`` all read, so the certificates cover placement too.
     """
 
     @pytest.mark.parametrize(("n", "kind", "mode", "samples", "expected"), [
@@ -382,21 +398,21 @@ class TestFaultSweep:
         (5, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 6)),
         (5, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 5)),
         (5, "_slot_of", "sampled", 200, dict.fromkeys(("residue_coverage", *KERNEL), 10)),
-        (5, "_mod", "exhaustive", 1, {
-            "codeword_bijection": 3, "packing": 5, "roundtrip": 6, "section_confinement": 6}),
         (5, "_plus_slots", "sampled", 200, {"packing": 5, "roundtrip": 5}),
         (5, "_minus_slots", "sampled", 200, {
             "codeword_bijection": 1, "packing": 5, "roundtrip": 5, "section_confinement": 5}),
+        (5, "_digit_columns", "exhaustive", 1, {"codeword_bijection": 30, "roundtrip": 40}),
+        (5, "_digit_support", "exhaustive", 1, {
+            "codeword_bijection": 18, "packing": 22, "roundtrip": 22, "section_confinement": 22}),
         (8, "_row_terms", "sampled", 200, dict.fromkeys(KERNEL, 29)),
         (8, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 12)),
         (8, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 8)),
         (8, "_slot_of", "sampled", 200, dict.fromkeys(("residue_coverage", *KERNEL), 16)),
-        # 200 samples never form the sum 400
-        (8, "_mod", "sampled", 2000, {
-            "codeword_bijection": 3, "packing": 6, "roundtrip": 6, "section_confinement": 6}),
         (8, "_plus_slots", "sampled", 200, {"packing": 8, "roundtrip": 8}),
         (8, "_minus_slots", "sampled", 200, {
             "codeword_bijection": 1, "packing": 8, "roundtrip": 8, "section_confinement": 8}),
+        (8, "_digit_columns", "sampled", 200, {"codeword_bijection": 112, "roundtrip": 112}),
+        (8, "_digit_support", "sampled", 200, dict.fromkeys(KERNEL, 58)),
     ], ids=[f"n5-{kind}" for kind in ("generator", *TABLES)] + [f"n8-{kind}" for kind in TABLES])
     def test_every_fault_fails_a_check(self, n, kind, mode, samples, expected):
         failures = collections.Counter()

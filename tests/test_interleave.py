@@ -385,7 +385,7 @@ class TestMakeBurst:
         assert len(points) == len(set(points))  # one error per hypercube
         assert len(burst.faces) <= 121
 
-    # n = 20 runs the slot shift on int64, past the _mod table; aligned stops at n = 14
+    # n = 20 runs the slot shift on int64, past the int16 bound; aligned stops at n = 14
     @pytest.mark.parametrize("model, n", [
         ("aligned", 5), ("translate", 5), ("multi-translate", 5),
         ("aligned", 14), ("translate", 20), ("multi-translate", 20),

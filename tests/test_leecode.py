@@ -298,7 +298,7 @@ class TestBulkKernel:
                 bad_code.tile_assign(zt)
 
 
-ARRAY_TABLES = ("_slot_of", "_mod", "_dtype", "_plus_slots", "_minus_slots")
+ARRAY_TABLES = ("_slot_of", "_dtype", "_plus_slots", "_minus_slots")
 
 
 @pytest.mark.parametrize("n", [5, 12, 19, 20])
@@ -313,7 +313,7 @@ def test_array_tables_do_not_depend_on_the_first_call(n):
         a, b = getattr(scalar, name), getattr(bulk, name)
         if isinstance(a, np.ndarray):
             assert a.dtype == b.dtype and np.array_equal(a, b), name
-        else:  # _dtype, and _mod past n = 19
+        else:  # _dtype
             assert a is b, name
     assert np.array_equal(scalar._minus_slots, scalar._plus_slots + 1)
     assert scalar._slot_of.dtype == np.int16
@@ -380,6 +380,28 @@ class TestBulkKernelProperty:
         assert not back[2].any()
 
 
+def received_sums(code):
+    """The extreme sums each of the kernel's reductions is given, by name.
+
+    From its terms and the range of its inputs: anchors and digits are
+    residues, the decoded point is in [-1, q], and a slot offset moves a
+    coordinate by 1.
+    """
+    q = code.q
+
+    def extremes(terms, lo, hi):
+        weights = [sum(a for _, a in column) for column in terms]
+        return min(lo * w for w in weights), max(hi * w for w in weights)
+
+    lo, hi = extremes(code._row_terms, 0, q - 1)
+    return {
+        "syndrome": extremes(code._syndrome_terms, 0, q - 1),
+        "encode": (lo - 1, hi + 1),
+        "peel": extremes(code._peel_terms, -1, q),
+        "rest": (lo - q, hi + 1),
+    }
+
+
 class TestColumnBound:
     """The kernel's column sums, of magnitude below n q^2 + 2q.
 
@@ -390,33 +412,36 @@ class TestColumnBound:
 
     def test_int16_runs_up_to_n19(self):
         assert CODES[19]._dtype is np.int16
-        assert CODES[20]._dtype is np.int64 and CODES[20]._mod is None
+        assert CODES[20]._dtype is np.int64
 
     @pytest.mark.parametrize("n", range(5, 20))
     def test_every_reduction_stays_in_the_table(self, n):
-        # The extreme sums each reduction is given, from its terms and the
-        # range of its inputs: anchors and digits are residues, the decoded
-        # point is in [-1, q], and a slot offset moves a coordinate by 1.
         code = CODES[n]
-        q, size = code.q, len(code._mod)
+        q, bound = code.q, n * code.q**2 + 2 * code.q
+        assert bound <= 2**15
+        for name, (low, high) in received_sums(code).items():
+            assert -bound < low and high < bound, name
+        # every int16 sum in the bound, where s // q * q may wrap mod 2^16
+        sums = np.arange(-bound + 1, bound)
+        got = code._reduce(sums.astype(np.int16))
+        assert got.dtype == np.int16
+        assert np.array_equal(got, sums % q)
+        # burst placement's int64 sums narrow to the same int16 column
+        wide = code._reduce(sums)
+        assert wide.dtype == np.int16 and np.array_equal(wide, got)
 
-        def extremes(terms, lo, hi):
-            weights = [sum(a for _, a in column) for column in terms]
-            return min(lo * w for w in weights), max(hi * w for w in weights)
-
-        lo, hi = extremes(code._row_terms, 0, q - 1)
-        received = {
-            "syndrome": extremes(code._syndrome_terms, 0, q - 1),
-            "encode": (lo - 1, hi + 1),
-            "peel": extremes(code._peel_terms, -1, q),
-            "rest": (lo - q, hi + 1),
-        }
-        # a negative index counts from the table's end, a multiple of q
-        assert size % q == 0 and size < 2**15
+    @pytest.mark.parametrize("n", [20, 91])
+    def test_int64_extremes_reduce(self, n):
+        code = CODES.get(n) or generator_matrix(n)
+        q, bound = code.q, n * code.q**2 + 2 * code.q
+        assert code._dtype is np.int64
+        received = received_sums(code)
+        extremes = [-bound + 1, bound - 1, *itertools.chain(*received.values())]
         for name, (low, high) in received.items():
-            assert -size <= low and high < size, name
-            got = code._reduce(np.array([low, high], dtype=np.int16))
-            assert got.tolist() == [low % q, high % q], name
+            assert -bound < low and high < bound, name
+        got = code._reduce(np.array(extremes, dtype=np.int64))
+        assert got.dtype == np.int64
+        assert got.tolist() == [s % q for s in extremes]
 
     @pytest.mark.parametrize("n", [12, 19, 20, 91])
     def test_decode_extreme_anchors_match_tile_assign(self, n):
@@ -562,20 +587,36 @@ class TestPerfectPacking:
         assert code5.n_codewords == 11**5 // 11
 
     @pytest.mark.parametrize("seed", [0, 7, 123])
-    @pytest.mark.parametrize(
-        ("samples", "n", "piece"), [(10**6, 8, 1 << 16), (54321, 12, 1 << 16), (1000, 5, 333)]
-    )
-    def test_pieced_draw_is_the_one_shot_draw(self, monkeypatch, samples, n, piece, seed):
+    @pytest.mark.parametrize(("samples", "total", "row", "piece"), [
+        # the packing draws of rows of n digits, ids samples-n-piece
+        pytest.param(10**6, 17, (8,), 1 << 16, id="1000000-8-65536"),
+        pytest.param(54321, 25, (12,), 1 << 16, id="54321-12-65536"),
+        pytest.param(1000, 11, (5,), 333, id="1000-5-333"),
+        # either side of the int32 pieces' bound, and the bijection's q^(n-1) at n = 8, 12
+        *(pytest.param(5000, total, (), 777, id=f"5000-{name}-777") for name, total in [
+            ("2^31-1", 2**31 - 1), ("2^31", 2**31), ("2^31+1", 2**31 + 1),
+            ("17^7", 17**7), ("23^10", 23**10)]),
+    ])
+    def test_pieced_draw_is_the_one_shot_draw(self, monkeypatch, samples, total, row, piece, seed):
         # pieces of 333 rows of 5 draws split an odd number of 32-bit draws
         monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
-        q = 2 * n + 1
-        one_shot = np.random.default_rng(seed).integers(0, q, size=(samples, n), dtype=np.int64)
-        starts, pieces = zip(*leecode.sweep(q, "sampled", samples, seed, (n,)))
-        assert [p.shape for p in pieces] == [(min(piece, samples - s), n) for s in starts]
+        one_shot_rng = np.random.default_rng(seed)
+        one_shot = one_shot_rng.integers(0, total, size=(samples, *row), dtype=np.int64)
+        # keep the sweep's generator, to compare where it leaves the stream
+        made, default_rng = [], np.random.default_rng
+
+        def keep(s):
+            made.append(default_rng(s))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", keep)
+        starts, pieces = zip(*leecode.sweep(total, "sampled", samples, seed, row))
+        assert [p.shape for p in pieces] == [(min(piece, samples - s), *row) for s in starts]
         assert list(starts) == [sum(map(len, pieces[:i])) for i in range(len(pieces))]
         pieced = np.concatenate(pieces)
-        assert pieced.dtype == np.int64
+        assert pieced.dtype == (np.int32 if total <= 2**31 else np.int64)
         assert np.array_equal(pieced, one_shot)
+        assert made[0].bit_generator.state == one_shot_rng.bit_generator.state
 
     @pytest.mark.parametrize(
         ("n", "mode", "samples", "seed", "fault"),
