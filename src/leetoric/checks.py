@@ -14,7 +14,7 @@ from typing import NamedTuple
 from ._numpy import np
 from .interleave import InterleavingMap, check_int64
 from .lattice import digits_of, lin_indices
-from .leecode import SCALAR_ROWS, PerfectLeeCode, check_verification_rules, generator_matrix, sweep
+from .leecode import PerfectLeeCode, check_verification_rules, generator_matrix, scalar_rows, sweep
 
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
@@ -115,7 +115,7 @@ def _check_chain_membership(code, map_, mode, samples, seed):
 
 def _check_codeword_bijection(code, map_, mode, samples, seed):
     # decode inverts encode on every index's digits, so no two share a point;
-    # the scalar codeword_from_rank and rank_of are the oracle on the first SCALAR_ROWS.
+    # the scalar codeword_from_rank and rank_of are the oracle on the sweep's scalar_rows
     radices, k = (code.q,) * (code.n - 1), min(samples, SAMPLE_CAP)
     for start, idx in sweep(code.n_codewords, mode, k, seed):
         point = code.encode(digits_of(idx, radices), np.zeros_like(idx))
@@ -127,8 +127,8 @@ def _check_codeword_bijection(code, map_, mode, samples, seed):
             j, r = divmod(int(idx[fail[0]]), code.codewords_per_section)
             return False, (f"rank round-trip failed at (j={j}, r={r}),"
                            f" point {tuple(int(x[fail[0]]) for x in point)}")
-        head = idx[: max(SCALAR_ROWS - start, 0)].tolist()
-        for i, pt in zip(head, zip(*(x[: len(head)].tolist() for x in point))):
+        spots = scalar_rows(start, len(idx), code.n_codewords if mode == "exhaustive" else k)
+        for i, pt in zip(idx[spots].tolist(), zip(*(x[spots].tolist() for x in point))):
             jj, rr = divmod(i, code.codewords_per_section)
             if code.codeword_from_rank(jj, rr).point != tuple(pt) or code.rank_of(pt) != (jj, rr):
                 return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"
@@ -174,31 +174,32 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     # sampled confinement reads a prefix of the round trip's draws: the first k
     k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
     trip = leak = None  # the first failure of each check
+    # the (logical index, face index) pairs of the sweep's 200 scalar_rows, the face
+    # index composed as export-map composes it; the scalar map checks them after the
+    # sweep, so that a bulk mismatch is reported first
+    spots = []
     for start, logical in map_.logical_pieces(mode, samples, seed):
         shape = np.broadcast_shapes(*(np.shape(row) for row in logical))
 
         # A position is a slot of the piece in sweep order, where the rows are
-        # broadcast to shape and raveled; a mask's first set entry, its broadcast
-        # axes at 0, is the first position it flags.
-        def first(masks, head=None):  # the first position a mask flags before head, or None
-            hits = [np.ravel_multi_index((0,) * (len(shape) - m.ndim)
-                                         + np.unravel_index(m.argmax(), m.shape), shape)
-                    for m in masks if m.any()]
-            return min(hits) if hits and (head is None or min(hits) < head) else None
+        # broadcast to shape and raveled.
+        def first(masks):  # (the first position the masks flag, the first mask that flags it)
+            return min((np.broadcast_to(m, shape).argmax(), j) for j, m in enumerate(masks) if m.any())
 
-        def entry(row, i):  # the row's entry at position i
+        def entry(row, i):  # the row's entries at positions i
             return np.broadcast_to(row, shape)[np.unravel_index(i, shape)]
 
-        def slot(i):  # the logical index at position i
-            return lin_indices([entry(row, i) for row in logical], radices)
+        def slot(i, rows=logical, radices=radices):  # the indices the rows compose at positions i
+            return lin_indices([entry(row, i) for row in rows], radices)
 
         rows = map_.forward_digits(logical)  # the face's digit rows, then the logical ones back
         if any(row.min() < 0 or row.max() >= radix for row, radix in zip(rows, map_.face_radices)):
             out = [(row < 0) | (row >= radix) for row, radix in zip(rows, map_.face_radices)]
-            i = first(out)
-            d = next(d for d, o in enumerate(out) if entry(o, i))
+            i, d = first(out)
             raise ValueError(f"face digit {d} of logical index {slot(i)} is {entry(rows[d], i)},"
                              f" out of range [0, {map_.face_radices[d]})")
+        i = scalar_rows(start, np.prod(shape), total if mode == "exhaustive" else samples, 200)
+        spots += zip(slot(i).tolist(), slot(i, rows, map_.face_radices).tolist())
         rows, bad = map_.inverse_digits(rows)
         # The orientation is compared apart from the other rows, whose masks fold
         # into one once per orientation-free tuple; a row that involves the
@@ -209,16 +210,14 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
         for row, want in zip(rows[1:-2] + rows[-1:], logical[1:-2] + logical[-1:]):
             miss = miss | (row != want)
         if trip is None and (miss.any() or turned.any()):
-            trip = f"round-trip mismatch at logical index {slot(first([miss, turned]))}"
+            trip = f"round-trip mismatch at logical index {slot(first([miss, turned])[0])}"
         if leak is None and start < k and (moved.any() or turned.any()):
-            i = first([moved, turned], k - start)
-            if i is not None:
+            i, turned_only = first([moved, turned])
+            if start + i < k:
                 addr = map_.logical_from_lin(int(slot(i)))
-                leak = (f"orientation changed at {addr}" if not entry(moved, i)
+                leak = (f"orientation changed at {addr}" if turned_only
                         else f"physical codeword of {addr} leaves section {addr.section}")
-    # scalar spot-check against the vectorized path
-    spot = np.random.default_rng(seed + 1).integers(0, total, size=200)
-    for i, fwd in zip(spot.tolist(), map_.forward_indices(spot).tolist()):
+    for i, fwd in spots:
         if trip is None and map_.forward_index(i) != fwd:
             trip = f"scalar/bulk forward disagree at {i}"
         elif trip is None and map_.inverse_index(fwd) != i:

@@ -36,7 +36,7 @@ from .lattice import (
 
 # every bulk sweep walks its indices (or sampled rows) in pieces of this many
 SWEEP_CHUNK = 1 << 16
-# the bulk certificates check this many first rows of a sweep against the scalar oracle
+# the bulk certificates check at most this many rows of a sweep, spread over it, against the scalar oracle
 SCALAR_ROWS = 1000
 # a PackingReport stores the first this many violations
 _MAX_VIOLATIONS = 10
@@ -61,6 +61,12 @@ def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[
         rng, dtype = np.random.default_rng(seed), np.int32 if total <= 2**31 else np.int64
         for start in range(0, k, SWEEP_CHUNK):
             yield start, rng.integers(0, total, (min(SWEEP_CHUNK, k - start), *row), dtype)
+
+
+def scalar_rows(start: int, m: int, total: int, rows: int = SCALAR_ROWS) -> np.ndarray:
+    """The positions in the piece [start, start + m) of every ceil(total / rows)-th row of the sweep."""
+    step = -(-total // rows)
+    return np.arange(-start % step, m, step)
 
 
 class GeneratorSet(NamedTuple):
@@ -395,20 +401,18 @@ class PerfectLeeCode:
         ``samples`` seeded-random ones.  A row not ``bad`` is encode of its
         label (digits, slot), so with no ``bad`` row z -> label is injective
         from the q^n hypercubes to the q^n labels, a bijection: the spheres
-        tile.  On the first SCALAR_ROWS rows of the sweep the scalar
-        tile_assign must give decode's label as (section, rank, slot), or
-        fail (None) on exactly the ``bad`` rows; its disagreements are
-        reported after every ``bad`` row.
+        tile.  On the sweep's ``scalar_rows`` the scalar tile_assign must give
+        decode's label (section, rank, slot), or fail (None) on exactly the
+        ``bad`` rows; its disagreements are reported after every ``bad`` row.
         """
         check_verification_rules(self.n, mode, samples, seed)
         n, q = self.n, self.q
         exhaustive, wrong, violations = mode == "exhaustive", [], []
-        checked = placed = count = 0
+        total, placed, count = q**n if exhaustive else samples, 0, 0  # total: the rows swept
         for start, z in sweep(q**n if exhaustive else q, mode, samples, seed, (n,)):
             # an exhaustive piece is hypercube indices, a sampled one rows of n
             # digits; either becomes n int16 columns, and the int64 piece is freed
             z = digits_of(z, (q,) * n) if exhaustive else z.T.astype(np.int16, order="C")
-            checked += z.shape[1]
             digits, slot, bad = self.decode(z)
             if exhaustive:
                 # the sphere centres found: decoded rows on slot 0
@@ -417,10 +421,10 @@ class PerfectLeeCode:
             count += len(broken)
             violations += (f"tile_assign broken at {tuple(z[:, i].tolist())}"
                            for i in broken[: _MAX_VIOLATIONS - len(violations)])
-            head = max(SCALAR_ROWS - start, 0)
-            rank = lin_indices([d[:head] for d in digits[1:]], (q,) * (n - 2))
-            bulk = zip(digits[0][:head].tolist(), rank.tolist(), slot[:head].tolist())
-            for row, answer, flagged in zip(z[:, :head].T.tolist(), bulk, bad[:head].tolist()):
+            spots = scalar_rows(start, z.shape[1], total)
+            rank = lin_indices([d[spots] for d in digits[1:]], (q,) * (n - 2))
+            bulk = zip(digits[0][spots].tolist(), rank.tolist(), slot[spots].tolist())
+            for row, answer, flagged in zip(z[:, spots].T.tolist(), bulk, bad[spots].tolist()):
                 try:
                     cw, cw_slot = self.tile_assign(row)
                     scalar = (cw.section, cw.rank, cw_slot)
@@ -430,7 +434,7 @@ class PerfectLeeCode:
                     wrong.append(tuple(row))
         violations += (f"scalar tile_assign disagrees with decode at {row}"
                        for row in wrong[: _MAX_VIOLATIONS - len(violations)])
-        return PackingReport(n, q, mode, checked, placed, count + len(wrong), violations)
+        return PackingReport(n, q, mode, total, placed, count + len(wrong), violations)
 
 
 class PackingReport(NamedTuple):

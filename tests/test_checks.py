@@ -9,6 +9,7 @@ from leetoric import leecode
 from leetoric.checks import (
     SAMPLE_CAP,
     _check_chain_membership,
+    _check_codeword_bijection,
     _check_roundtrip_and_section_confinement,
     run_verification,
 )
@@ -181,6 +182,34 @@ class TestFaultsFailTheirCheck:
             f"check aborted: face digit 4 of logical index {first} is 11, out of range [0, 11)"
         )
 
+    def test_oracle_fault_in_the_last_section_fails_the_bijection(self, monkeypatch, code5):
+        # the scalar rows are every 15th of the 11^4 codewords, so they reach
+        # section q - 1, whose first is index 888 * 15 = 10 * 11^3 + 10
+        codeword_from_rank = PerfectLeeCode.codeword_from_rank
+
+        def moved(self, j, r):
+            cw = codeword_from_rank(self, j, r)
+            if j == self.q - 1:
+                cw = cw._replace(point=((cw.point[0] + 1) % self.q, *cw.point[1:]))
+            return cw
+
+        monkeypatch.setattr(PerfectLeeCode, "codeword_from_rank", moved)
+        assert _check_codeword_bijection(code5, None, "exhaustive", 1, 0) == (
+            False, "scalar codeword_from_rank disagrees with encode at (j=10, r=10)")
+
+    def test_scalar_map_fault_in_the_last_section_fails_roundtrip(self, monkeypatch, map5):
+        # the round trip's 200 scalar rows are every 8053rd slot of its own sweep,
+        # so they reach section q - 1, whose slots start at 10 * 11^3 * 10 * 11
+        forward_index = InterleavingMap.forward_index
+
+        def shifted(self, i):
+            return forward_index(self, i) + (i >= self.n_faces // self.q * (self.q - 1))
+
+        monkeypatch.setattr(InterleavingMap, "forward_index", shifted)
+        (trip_ok, trip), (leak_ok, _) = _check_roundtrip_and_section_confinement(
+            map5.code, map5, "exhaustive", 1, 0)
+        assert (trip_ok, leak_ok) == (False, True)
+        assert trip == f"scalar/bulk forward disagree at {182 * 8053}"
 
 
 class TestResidueCoverageReadsSlotTable:
@@ -369,8 +398,8 @@ class TestFaultSweep:
     _slot_of swaps       10                10           10               10    10    10
     _plus_slots +1       5                                               5     5
     _minus_slots +1      5                              1                5     5     5
-    _digit_columns +-1   40                             30                     40
-    _digit_support +-1   22                             18               22    22    22
+    _digit_columns +-1   40                             40                     40
+    _digit_support +-1   22                             22               22    22    22
     ===================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
 
     At n = 8 the kernel tables show the same pattern (29, 12, 8, 16, 8 and
@@ -381,9 +410,7 @@ class TestFaultSweep:
     fault.  The oracle tables, ``codeword_from_rank``'s digit columns and
     the ``_peel`` supports that ``rank_of`` and ``tile_assign`` read, are
     the scalar side of the cross-checks, so these faults show that the
-    cross-checks can fail.  Only the roundtrip's scalar spot-check fails
-    the 10 n = 5 faults in the section digit's column entries: the
-    bijection's scalar rows are the first codewords, all in section 0.
+    cross-checks can fail.
     ``_plus_slots`` and ``_minus_slots`` are the slot-shift tables that
     encode, decode and the burst placement of ``simulate`` and
     ``make_burst`` all read, so the certificates cover placement too.
@@ -401,9 +428,8 @@ class TestFaultSweep:
         (5, "_plus_slots", "sampled", 200, {"packing": 5, "roundtrip": 5}),
         (5, "_minus_slots", "sampled", 200, {
             "codeword_bijection": 1, "packing": 5, "roundtrip": 5, "section_confinement": 5}),
-        (5, "_digit_columns", "exhaustive", 1, {"codeword_bijection": 30, "roundtrip": 40}),
-        (5, "_digit_support", "exhaustive", 1, {
-            "codeword_bijection": 18, "packing": 22, "roundtrip": 22, "section_confinement": 22}),
+        (5, "_digit_columns", "exhaustive", 1, {"codeword_bijection": 40, "roundtrip": 40}),
+        (5, "_digit_support", "exhaustive", 1, dict.fromkeys(KERNEL, 22)),
         (8, "_row_terms", "sampled", 200, dict.fromkeys(KERNEL, 29)),
         (8, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 12)),
         (8, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 8)),

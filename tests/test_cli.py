@@ -618,7 +618,8 @@ class TestExportMap:
             assert fh.readline().rstrip("\n") == "logical,physical"
             assert fh.readline().rstrip("\n") == "0,0"
         # record count and strided content check against the map
-        n_records = sum(1 for _ in out_path.open()) - 1
+        with out_path.open() as fh:
+            n_records = sum(1 for _ in fh) - 1
         assert n_records == 1_610_510
         stride = 9973
         logical = np.arange(0, map5.n_faces, stride, dtype=np.int64)

@@ -558,12 +558,14 @@ class TestPerfectPacking:
             generator_matrix(code_n).verify_perfect_packing(*args)
         assert str(exc.value) == message
 
-    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
-    def test_scalar_fault_is_caught(self, code5, monkeypatch, mode):
+    @pytest.mark.parametrize(("mode", "rows"), [("exhaustive", 995), ("sampled", 1000)],
+                             ids=["exhaustive", "sampled"])
+    def test_scalar_fault_is_caught(self, code5, monkeypatch, mode, rows):
         monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_tile_assign)
         report = code5.verify_perfect_packing(mode, samples=2000, seed=4)
-        # Only the 1000-row scalar cross-check sees the fault; decode is intact.
-        assert report.violation_count == 1000
+        # Only the scalar cross-check sees the fault; decode is intact.  It reads
+        # every 162nd of the 11^5 hypercubes, or every 2nd of the 2000 samples.
+        assert report.violation_count == rows
         assert all(
             v.startswith("scalar tile_assign disagrees with decode at")
             for v in report.violations
@@ -648,8 +650,9 @@ class TestPerfectPacking:
         assert small.violations == whole.violations
         assert not small.ok
         if fault == "scalar":
-            # rows [0, 1000) of the whole sweep, spread over four 333-row pieces
-            assert small.violation_count == 1000
+            # every 162nd of the 11^5 rows, or every 2nd of the 2000 samples,
+            # wherever the pieces split the sweep
+            assert small.violation_count == (995 if mode == "exhaustive" else 1000)
         elif mode == "exhaustive":
             assert small.violation_count == 146410
             assert small.violations[:3] == [
@@ -661,7 +664,7 @@ class TestPerfectPacking:
     @pytest.mark.parametrize("piece", [333, 1 << 20])
     def test_scalar_disagreements_follow_every_broken_row(self, monkeypatch, code5, piece):
         # decode flags hypercube 5000, in the 16th 333-row piece; the scalar
-        # tile_assign fails on rows [0, 1000), which decode does not flag
+        # tile_assign fails on every 162nd row, none of which decode flags
         target = hypercube_from_lin(5000, 11, 5)
         decode = PerfectLeeCode.decode
 
@@ -674,12 +677,41 @@ class TestPerfectPacking:
         monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_tile_assign)
         monkeypatch.setattr(leecode, "SWEEP_CHUNK", piece)
         report = code5.verify_perfect_packing("exhaustive")
-        assert report.violation_count == 1 + 1000
+        assert report.violation_count == 1 + 995
         assert report.violations[0] == f"tile_assign broken at {target}"
         assert report.violations[1:] == [
-            f"scalar tile_assign disagrees with decode at {hypercube_from_lin(i, 11, 5)}"
+            f"scalar tile_assign disagrees with decode at {hypercube_from_lin(162 * i, 11, 5)}"
             for i in range(9)
         ]
+
+    def test_scalar_fault_in_the_last_section_is_caught(self, code5, monkeypatch):
+        # the scalar rows spread over the whole sweep, so a fault confined to the
+        # hypercubes with first coordinate q - 1 fails the rows 162 * i there
+        tile_assign = PerfectLeeCode.tile_assign
+
+        def broken_last_section(self, z):
+            if z[0] == self.q - 1:
+                raise ValueError("injected scalar fault")
+            return tile_assign(self, z)
+
+        monkeypatch.setattr(PerfectLeeCode, "tile_assign", broken_last_section)
+        report = code5.verify_perfect_packing("exhaustive")
+        rows = [i for i in range(0, 11**5, 162) if i >= 10 * 11**4]
+        assert (rows[0], len(rows)) == (904 * 162, 91)
+        assert report.violation_count == 91
+        assert report.violations == [
+            f"scalar tile_assign disagrees with decode at {hypercube_from_lin(i, 11, 5)}"
+            for i in rows[:10]
+        ]
+
+    @pytest.mark.parametrize(("total", "rows"), [
+        (11**5, 1000), (11**4, 1000), (2000, 1000), (999, 1000), (10 * 11**5, 200), (1, 200)])
+    @pytest.mark.parametrize("piece", [333, leecode.SWEEP_CHUNK, 1 << 20])
+    def test_scalar_rows_are_one_stride_of_the_sweep(self, total, rows, piece):
+        got = [start + i for start in range(0, total, piece)
+               for i in leecode.scalar_rows(start, min(piece, total - start), total, rows).tolist()]
+        assert got == list(range(0, total, -(-total // rows)))
+        assert len(got) <= rows
 
     @pytest.mark.parametrize("n", [8, 12])
     def test_sampled_packing_memory_is_bounded(self, n):
