@@ -14,7 +14,8 @@ from typing import NamedTuple
 from ._numpy import np
 from .interleave import InterleavingMap, check_int64
 from .lattice import digits_of, lin_indices
-from .leecode import PerfectLeeCode, check_verification_rules, generator_matrix, scalar_rows, sweep
+from .leecode import (PerfectLeeCode, check_verification_rules, generator_matrix, scalar_answer,
+                      scalar_rows, sweep)
 
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
@@ -39,7 +40,7 @@ def run_verification(
     exhaustive at n >= 8, samples < 1, the seed is negative or the bulk
     map checks would overflow int64 (n >= 13).
     """
-    check_verification_rules(n, mode, samples, seed)
+    samples, seed = check_verification_rules(n, mode, samples, seed)
     check_int64(n)
     if code is None:
         code = generator_matrix(n)
@@ -130,7 +131,8 @@ def _check_codeword_bijection(code, map_, mode, samples, seed):
         spots = scalar_rows(start, len(idx), code.n_codewords if mode == "exhaustive" else k)
         for i, pt in zip(idx[spots].tolist(), zip(*(x[spots].tolist() for x in point))):
             jj, rr = divmod(i, code.codewords_per_section)
-            if code.codeword_from_rank(jj, rr).point != tuple(pt) or code.rank_of(pt) != (jj, rr):
+            if (scalar_answer(code.rank_of, pt) != (jj, rr)
+                    or scalar_answer(code.codeword_from_rank, jj, rr) != (pt, jj, rr)):
                 return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"
     if mode == "exhaustive":
         return True, f"{code.n_codewords} distinct codewords, ranks round-trip"
@@ -164,9 +166,9 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
 
     The rows are map_.logical_pieces': exhaustive, each anchor is encoded
     and decoded once, and every row that involves the orientation is
-    compared on the full grid of the piece's slots.  forward_indices and
-    inverse_indices compose these rows unchecked, so a face digit outside
-    its radix aborts both.  Confinement holds iff the section and
+    compared on the full grid of the piece's slots.  export-map composes the
+    forward rows into face indices with lin_indices, unchecked, so a face
+    digit outside its radix aborts both.  Confinement holds iff the section and
     orientation rows of inverse(forward(i)) are i's; a bad face fails both
     checks.  Each failure names the first slot in sweep order.
     """
@@ -218,9 +220,9 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
                 leak = (f"orientation changed at {addr}" if turned_only
                         else f"physical codeword of {addr} leaves section {addr.section}")
     for i, fwd in spots:
-        if trip is None and map_.forward_index(i) != fwd:
+        if trip is None and scalar_answer(map_.forward_index, i) != fwd:
             trip = f"scalar/bulk forward disagree at {i}"
-        elif trip is None and map_.inverse_index(fwd) != i:
+        elif trip is None and scalar_answer(map_.inverse_index, fwd) != i:
             trip = f"scalar inverse broken at {i}"
     if mode == "exhaustive":
         passed = f"all {total} slots round-trip; image is a permutation", f"all {k} addresses"

@@ -209,13 +209,15 @@ class InterleavingMap:
         return logical
 
     def _check_indices(self, idx: np.ndarray, kind: str) -> np.ndarray:
-        """idx as int64; ValueError unless every entry is an integer in [0, n_faces).
+        """idx as int64; ValueError unless idx is 1-D and every entry is an integer in [0, n_faces).
 
         The range is checked in idx's own dtype, before the cast, so the
         message names the index the caller passed.
         """
         check_int64(self.n)
         idx = np.asarray(idx)
+        if idx.ndim != 1:
+            raise ValueError(f"{kind} indices must be a 1-D array, got shape {idx.shape}")
         if idx.size and not np.issubdtype(idx.dtype, np.integer):
             raise ValueError(f"{kind} indices must be integers, got dtype {idx.dtype}")
         out = np.flatnonzero((idx < 0) | (idx >= self.n_faces))
@@ -262,7 +264,7 @@ def make_burst(
     aligned n <= 14).  A broken rule raises ValueError.  This is
     ``simulate``'s per-trial draw and chunk kernel run for one trial.
     """
-    _check_burst_rules(map_.n, model, count)
+    count = _check_burst_rules(map_.n, model, count)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(rng)
     anchors, orientations, centers, _ = _place(map_, model, [_draw(map_, model, rng, count)])
@@ -273,9 +275,9 @@ def make_burst(
     return BurstPattern(model, faces, tuple(zip(*centers.tolist())))
 
 
-def _check_burst_rules(n: int, model: str, count: int | None) -> None:
-    """Raise ValueError unless ``model`` with ``count`` can be drawn in dimension n."""
-    n = operator.index(n)
+def _check_burst_rules(n: int, model: str, count: int | None) -> int | None:
+    """count as an int; ValueError unless ``model`` with ``count`` can be drawn in dimension n."""
+    n, count = operator.index(n), None if count is None else operator.index(count)
     if model not in BURST_MODELS:
         raise ValueError(f"unknown burst model: {model!r}")
     if model != "uniform-random" and count is not None:
@@ -289,10 +291,9 @@ def _check_burst_rules(n: int, model: str, count: int | None) -> None:
             raise ValueError(f"cannot draw {count} distinct faces out of {n_faces}")
     per_section = (2 * n + 1) ** (n - 2)
     if model == "aligned" and per_section > INT64_MAX:
-        raise ValueError(
-            f"aligned model draws ranks below q^(n-2) = {per_section},"
-            f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)"
-        )
+        raise ValueError(f"aligned model draws ranks below q^(n-2) = {per_section},"
+                         f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)")
+    return count
 
 
 def _draw(
@@ -422,13 +423,14 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng((master_seed, trial))
 
 
-def check_simulation_rules(n: int, model: str, trials: int, seed: int, count: int | None) -> None:
-    """ValueError unless simulate can run: trials >= 1, seed >= 0 and the burst rules."""
+def check_simulation_rules(n: int, model: str, trials: int, seed: int, count: int | None) -> tuple:
+    """(trials, seed, count) as ints; ValueError unless trials >= 1, seed >= 0 and the burst rules hold."""
+    trials, seed = operator.index(trials), operator.index(seed)
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    _check_burst_rules(n, model, count)
+    return trials, seed, _check_burst_rules(n, model, count)
 
 
 def simulate(
@@ -448,7 +450,7 @@ def simulate(
     faces, and the result equals a loop of make_burst and
     deinterleave_and_correct over the same trials.
     """
-    check_simulation_rules(map_.n, model, trials, master_seed, count)
+    trials, master_seed, count = check_simulation_rules(map_.n, model, trials, master_seed, count)
     successes = max_errors = 0
     histogram: dict[int, int] = {}
     drawn = {"translate": map_.q, "uniform-random": count}.get(model, map_.q**2)

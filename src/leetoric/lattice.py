@@ -132,11 +132,7 @@ def lin_indices(digits: Sequence[np.ndarray], radices: Sequence[int]) -> np.ndar
     """
     idx = np.array(digits[0], dtype=np.int64)
     for row, radix in zip(digits[1:], radices[1:], strict=True):
-        idx *= radix
-        if np.broadcast_shapes(idx.shape, np.shape(row)) == idx.shape:
-            idx += row
-        else:
-            idx = idx + row
+        idx = idx * radix + row
     return idx
 
 

@@ -155,10 +155,10 @@ class PerfectLeeCode:
         # coordinate, then subtracts the digit's row, in this order.
         self.digit_rows = tuple(self.matrix[i] for i in [n - 1, *range(n - 2, 1, -1), 0])
         self.peel = _peel_schedule(n)
-        # The scalar oracle's own tables, apart from the kernel's: the digit
-        # rows' columns, and each digit row's nonzero (coordinate, entry) pairs.
-        self._digit_columns = tuple(zip(*self.digit_rows))
-        self._digit_support = _terms(self._digit_columns, q)
+        # The scalar oracle's one table, apart from the kernel's: each digit
+        # row's nonzero (coordinate, entry) pairs, which codeword_from_rank
+        # adds up and _peel subtracts.
+        self._digit_support = _terms(tuple(zip(*self.digit_rows)), q)
         # The bulk kernel's exact-int tables.  The peel is linear mod q, so it
         # is one matrix B, row i the peel of e_i: digits = x.B mod q.
         self._syndrome_terms = _terms([[h] for h in self.h], q)
@@ -261,16 +261,19 @@ class PerfectLeeCode:
         """Codeword number r of cross-section j: its digits times the digit rows.
 
         The digits are j followed by the n-2 base-q digits of r, most
-        significant first, so consecutive ranks walk the v-digit m_v.
+        significant first, so consecutive ranks walk the v-digit m_v.  Each
+        digit adds its row's _digit_support pairs, the ones _peel subtracts.
         """
         q, n = self.q, self.n
         if not 0 <= j < q:
             raise ValueError(f"section {j} out of range [0, {q})")
         if not 0 <= r < self.codewords_per_section:
             raise ValueError(f"rank {r} out of range [0, {self.codewords_per_section})")
-        digits = (j,) + hypercube_from_lin(r, q, n - 2)
-        point = (sum(m * a for m, a in zip(digits, col)) % q for col in self._digit_columns)
-        return Codeword(tuple(point), j, r)
+        point = [0] * n
+        for m, support in zip((j,) + hypercube_from_lin(r, q, n - 2), self._digit_support):
+            for c, b in support:
+                point[c] += m * b
+        return Codeword(tuple(x % q for x in point), j, r)
 
     def rank_of(self, point: Sequence[int]) -> tuple[int, int]:
         """Inverse of codeword_from_rank; raises if point is not a codeword.
@@ -405,7 +408,7 @@ class PerfectLeeCode:
         decode's label (section, rank, slot), or fail (None) on exactly the
         ``bad`` rows; its disagreements are reported after every ``bad`` row.
         """
-        check_verification_rules(self.n, mode, samples, seed)
+        samples, seed = check_verification_rules(self.n, mode, samples, seed)
         n, q = self.n, self.q
         exhaustive, wrong, violations = mode == "exhaustive", [], []
         total, placed, count = q**n if exhaustive else samples, 0, 0  # total: the rows swept
@@ -425,11 +428,8 @@ class PerfectLeeCode:
             rank = lin_indices([d[spots] for d in digits[1:]], (q,) * (n - 2))
             bulk = zip(digits[0][spots].tolist(), rank.tolist(), slot[spots].tolist())
             for row, answer, flagged in zip(z[:, spots].T.tolist(), bulk, bad[spots].tolist()):
-                try:
-                    cw, cw_slot = self.tile_assign(row)
-                    scalar = (cw.section, cw.rank, cw_slot)
-                except ValueError:
-                    scalar = None
+                found = scalar_answer(self.tile_assign, row)
+                scalar = found and (found[0].section, found[0].rank, found[1])
                 if scalar != (None if flagged else answer):
                     wrong.append(tuple(row))
         violations += (f"scalar tile_assign disagrees with decode at {row}"
@@ -453,9 +453,10 @@ class PackingReport(NamedTuple):
         return self.violation_count == 0
 
 
-def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None:
-    """ValueError unless mode is known, exhaustive only at n <= 7, samples in [1, MAX_SAMPLES]
-    and seed >= 0."""
+def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> tuple[int, int]:
+    """(samples, seed) as ints; ValueError unless mode is known, exhaustive only at n <= 7,
+    samples in [1, MAX_SAMPLES] and seed >= 0."""
+    samples, seed = operator.index(samples), operator.index(seed)
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
     if mode == "exhaustive" and n > 7:
@@ -466,6 +467,15 @@ def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> None
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
+    return samples, seed
+
+
+def scalar_answer(fn, *args):
+    """A scalar oracle's answer: fn(*args), or None where the exact code raises ValueError."""
+    try:
+        return fn(*args)
+    except ValueError:
+        return None
 
 
 def _peel_schedule(n: int) -> tuple[tuple[int, int], ...]:

@@ -104,13 +104,9 @@ def kitaev_2d_stabilizers(q: int) -> StabilizerCheck2D:
         for y in range(q)
         for x in range(q)
     )
-    odd = []
-    vertex_sets = [set(s) for s in vertex_supports]
     face_sets = [set(s) for s in face_supports]
-    for vi, vs in enumerate(vertex_sets):
-        for fi, fs in enumerate(face_sets):
-            if len(vs & fs) % 2:
-                odd.append((vi, fi))
+    odd = [(vi, fi) for vi, vs in enumerate(map(set, vertex_supports))
+           for fi, fs in enumerate(face_sets) if len(vs & fs) % 2]
     return StabilizerCheck2D(
         q=q,
         n_edges=2 * q * q,

@@ -211,6 +211,38 @@ class TestFaultsFailTheirCheck:
         assert (trip_ok, leak_ok) == (False, True)
         assert trip == f"scalar/bulk forward disagree at {182 * 8053}"
 
+    def test_oracle_that_raises_disagrees_with_the_bijection(self):
+        # +1 on the section row's first support entry: the scalar rows, every
+        # 15th codeword, first reach section 1 at index 89 * 15 = 11^3 + 4, where
+        # rank_of raises on the true point and codeword_from_rank gives another;
+        # that is the oracle disagreeing, not the check aborting
+        code = next(oracle_faults(5))
+        rows = {r.name: (r.ok, r.detail) for r in run_verification(5, "exhaustive", 1, code=code)}
+        assert rows["codeword_bijection"] == (
+            False, "scalar codeword_from_rank disagrees with encode at (j=1, r=4)")
+        # confinement's verdict is the bulk pass's alone
+        assert rows["section_confinement"] == (
+            True, "all 1610510 addresses stay in their section, orientation intact")
+
+    def test_scalar_inverse_that_raises_fails_roundtrip(self, monkeypatch, map5):
+        # one of the round trip's scalar rows in section q - 1, whose slots
+        # start at 10 * 11^3 * 10 * 11, has an inverse_index that raises
+        target = 182 * 8053
+        inverse_index = InterleavingMap.inverse_index
+
+        def raising(self, face):
+            i = inverse_index(self, face)
+            if i == target:
+                raise ValueError(f"face {face} is on no codeword sphere")
+            return i
+
+        monkeypatch.setattr(InterleavingMap, "inverse_index", raising)
+        results = run_verification(5, "exhaustive", 1, code=map5.code)
+        rows = {r.name: (r.ok, r.detail) for r in results}
+        assert rows["roundtrip"] == (False, f"scalar inverse broken at {target}")
+        assert rows["section_confinement"] == (
+            True, "all 1610510 addresses stay in their section, orientation intact")
+
 
 class TestResidueCoverageReadsSlotTable:
     def test_swapped_slot_table_fails(self):
@@ -351,32 +383,32 @@ def array_faults(n, table, entries):
         yield code
 
 
-def oracle_faults(n, table):
-    """+-1 in each entry of one of the scalar oracle's tables: a digit column's
-    entries, or the entry (not the coordinate) of each pair of a digit row's support."""
-    rows = getattr(generator_matrix(n), table)
+def oracle_faults(n):
+    """+-1 in the entry (not the coordinate) of each pair of each digit row's
+    support, the scalar oracle's one table."""
+    rows = generator_matrix(n)._digit_support
     for r, row in enumerate(rows):
         for t, step in itertools.product(range(len(row)), (1, -1)):
             code = generator_matrix(n)
             faulty = [list(x) for x in rows]
-            entry = faulty[r][t]
-            faulty[r][t] = (entry[0], entry[1] + step) if isinstance(entry, tuple) else entry + step
-            setattr(code, table, tuple(map(tuple, faulty)))
+            coordinate, entry = faulty[r][t]
+            faulty[r][t] = (coordinate, entry + step)
+            code._digit_support = tuple(map(tuple, faulty))
             yield code
 
 
 FAULTS = {
     "generator": generator_faults,
     "_slot_of": slot_faults,
-    "_digit_columns": lambda n: oracle_faults(n, "_digit_columns"),
-    "_digit_support": lambda n: oracle_faults(n, "_digit_support"),
+    "_digit_support": oracle_faults,
     # the slot-shift tables: entry i is the slot that moves coordinate i
     "_plus_slots": lambda n: array_faults(n, "_plus_slots", range(n)),
     "_minus_slots": lambda n: array_faults(n, "_minus_slots", range(n)),
 }
-KERNEL = ("codeword_bijection", "packing", "roundtrip", "section_confinement")
+ORACLE = ("codeword_bijection", "packing", "roundtrip")  # the checks that consult the scalar oracle
+KERNEL = (*ORACLE, "section_confinement")
 TABLES = ("_row_terms", "_peel_terms", "_syndrome_terms", "_slot_of", "_plus_slots",
-          "_minus_slots", "_digit_columns", "_digit_support")
+          "_minus_slots", "_digit_support")
 
 
 class TestFaultSweep:
@@ -398,19 +430,21 @@ class TestFaultSweep:
     _slot_of swaps       10                10           10               10    10    10
     _plus_slots +1       5                                               5     5
     _minus_slots +1      5                              1                5     5     5
-    _digit_columns +-1   40                             40                     40
-    _digit_support +-1   22                             22               22    22    22
+    _digit_support +-1   22                             22               22    22
     ===================  ======  ===  ====  ===  =====  ===  ====  ====  ====  ====  ====
 
     At n = 8 the kernel tables show the same pattern (29, 12, 8, 16, 8 and
-    8 faults), and every fault of the oracle tables (112 and 58) fails the
-    codeword bijection too.  Every check fails on some class.
+    8 faults), and every fault of the oracle table (58) fails the codeword
+    bijection, packing and roundtrip too.  Every check fails on some class.
     Orthogonality and chain_membership fail on every generator fault, and
     roundtrip with packing or section_confinement on every kernel-table
-    fault.  The oracle tables, ``codeword_from_rank``'s digit columns and
-    the ``_peel`` supports that ``rank_of`` and ``tile_assign`` read, are
-    the scalar side of the cross-checks, so these faults show that the
-    cross-checks can fail.
+    fault.  The oracle table, the digit rows' supports that
+    ``codeword_from_rank`` adds up and ``_peel`` subtracts for ``rank_of``
+    and ``tile_assign``, is the scalar side of the cross-checks, so its
+    faults show that the cross-checks can fail.  They leave
+    section_confinement passing: its verdict is the bulk pass's alone, and
+    the counts it once had on them were the round trip's oracle raising
+    and aborting both checks, where an oracle that raises now disagrees.
     ``_plus_slots`` and ``_minus_slots`` are the slot-shift tables that
     encode, decode and the burst placement of ``simulate`` and
     ``make_burst`` all read, so the certificates cover placement too.
@@ -428,8 +462,7 @@ class TestFaultSweep:
         (5, "_plus_slots", "sampled", 200, {"packing": 5, "roundtrip": 5}),
         (5, "_minus_slots", "sampled", 200, {
             "codeword_bijection": 1, "packing": 5, "roundtrip": 5, "section_confinement": 5}),
-        (5, "_digit_columns", "exhaustive", 1, {"codeword_bijection": 40, "roundtrip": 40}),
-        (5, "_digit_support", "exhaustive", 1, dict.fromkeys(KERNEL, 22)),
+        (5, "_digit_support", "exhaustive", 1, dict.fromkeys(ORACLE, 22)),
         (8, "_row_terms", "sampled", 200, dict.fromkeys(KERNEL, 29)),
         (8, "_peel_terms", "sampled", 200, dict.fromkeys(KERNEL, 12)),
         (8, "_syndrome_terms", "sampled", 200, dict.fromkeys(KERNEL, 8)),
@@ -437,8 +470,7 @@ class TestFaultSweep:
         (8, "_plus_slots", "sampled", 200, {"packing": 8, "roundtrip": 8}),
         (8, "_minus_slots", "sampled", 200, {
             "codeword_bijection": 1, "packing": 8, "roundtrip": 8, "section_confinement": 8}),
-        (8, "_digit_columns", "sampled", 200, {"codeword_bijection": 112, "roundtrip": 112}),
-        (8, "_digit_support", "sampled", 200, dict.fromkeys(KERNEL, 58)),
+        (8, "_digit_support", "sampled", 200, dict.fromkeys(ORACLE, 58)),
     ], ids=[f"n5-{kind}" for kind in ("generator", *TABLES)] + [f"n8-{kind}" for kind in TABLES])
     def test_every_fault_fails_a_check(self, n, kind, mode, samples, expected):
         failures = collections.Counter()

@@ -1,4 +1,5 @@
 import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -170,6 +171,31 @@ class TestNumpyIntegers:
                          lambda i: face_from_lin(i, 13, 27)):
                 assert outcome(call, f) == outcome(call, int(f))
 
+    def test_uniform_count_sizes_the_chunks_as_an_int(self, map5):
+        # an int8 count once sized the chunks in int8: -(-1024 // 5) overflowed
+        assert outcome(simulate, map5, "uniform-random", 2, 0, np.int8(5)) == outcome(
+            simulate, map5, "uniform-random", 2, 0, 5)
+
+    def test_stats_of_numpy_trials_are_json(self, map5):
+        stats = simulate(map5, "translate", np.int64(3))
+        assert json.dumps(stats.to_dict()) == json.dumps(simulate(map5, "translate", 3).to_dict())
+
+    def test_bool_trials_are_counted_as_an_int(self, map5):
+        stats = simulate(map5, "translate", True)
+        assert type(stats.trials) is int
+        assert '"trials": 1,' in json.dumps(stats.to_dict())
+
+    def test_packing_counts_read_numpy_samples(self, code5):
+        call = code5.verify_perfect_packing
+        assert outcome(call, "sampled", np.int64(100), np.int64(2)) == outcome(call, "sampled", 100, 2)
+
+    @pytest.mark.parametrize("model, args", [
+        ("translate", (2.0,)), ("translate", (2, 0.0)), ("uniform-random", (2, 0, 5.0)),
+    ], ids=["trials", "seed", "count"])
+    def test_float_counts_are_refused(self, map5, model, args):
+        with pytest.raises(TypeError):
+            simulate(map5, model, *args)
+
     def test_scalar_maps_read_numpy_dimensions(self):
         # alpha * q^n in int64 wraps at n = 13, and would move the range bound
         last = 78 * 27**13 - 1
@@ -257,6 +283,13 @@ class TestBulkMap:
                 bulk(np.array(bad))
             assert str(exc.value) == f"{kind} indices must be integers, got dtype float64"
         assert map5.forward_indices(np.array([], dtype=np.float64)).shape == (0,)
+
+    @pytest.mark.parametrize("shape", [(2, 2), ()], ids=["2-d", "0-d"])
+    def test_bulk_maps_reject_arrays_that_are_not_1d(self, map5, shape):
+        for bulk, kind in ((map5.forward_indices, "logical"), (map5.inverse_indices, "face")):
+            with pytest.raises(ValueError) as exc:
+                bulk(np.zeros(shape, dtype=np.int64))
+            assert str(exc.value) == f"{kind} indices must be a 1-D array, got shape {shape}"
 
     def test_bulk_maps_name_the_first_bad_element(self, map5):
         idx = np.array([0, 7, map5.n_faces + 5, -1, map5.n_faces], dtype=np.int64)
