@@ -36,9 +36,10 @@ def run_verification(
 ) -> list[CheckResult]:
     """Run the full battery of construction checks for dimension n.
 
-    Raises ValueError before any check runs if the mode is unknown,
-    exhaustive at n >= 8, samples < 1, the seed is negative or the bulk
-    map checks would overflow int64 (n >= 13).
+    Raises ValueError before any check runs if a rule of
+    check_verification_rules or check_int64 is broken: an unknown mode,
+    exhaustive above MAX_EXHAUSTIVE_N, samples outside [1, MAX_SAMPLES], a
+    negative seed, or n outside [5, MAX_INDEX_N].
     """
     samples, seed = check_verification_rules(n, mode, samples, seed)
     check_int64(n)
@@ -131,8 +132,9 @@ def _check_codeword_bijection(code, map_, mode, samples, seed):
         spots = scalar_rows(start, len(idx), code.n_codewords if mode == "exhaustive" else k)
         for i, pt in zip(idx[spots].tolist(), zip(*(x[spots].tolist() for x in point))):
             jj, rr = divmod(i, code.codewords_per_section)
-            if (scalar_answer(code.rank_of, pt) != (jj, rr)
-                    or scalar_answer(code.codeword_from_rank, jj, rr) != (pt, jj, rr)):
+            if scalar_answer(code.rank_of, pt) != (jj, rr):
+                return False, f"scalar rank_of disagrees with decode at (j={jj}, r={rr})"
+            if scalar_answer(code.codeword_from_rank, jj, rr) != (pt, jj, rr):
                 return False, f"scalar codeword_from_rank disagrees with encode at (j={jj}, r={rr})"
     if mode == "exhaustive":
         return True, f"{code.n_codewords} distinct codewords, ranks round-trip"
@@ -140,6 +142,8 @@ def _check_codeword_bijection(code, map_, mode, samples, seed):
 
 
 def _check_min_distance(code, map_, mode, samples, seed):
+    if code.det == 0:  # no adj A, so no membership test for the sphere search
+        return False, "minimum Mannheim distance not searched: generator matrix is singular"
     scan = code.min_mannheim_distance()
     ok = scan.exact and scan.distance == 3
     return ok, f"minimum Mannheim distance {scan.distance}, witness {scan.witness}"

@@ -19,8 +19,8 @@ from typing import Iterator, NamedTuple, Sequence
 
 from . import leecode
 from ._numpy import np
-from .lattice import IntVector, digits_of, hypercube_lin_index, lin_indices
-from .leecode import PerfectLeeCode
+from .lattice import IntVector, at_least, digits_of, hypercube_lin_index, in_range, lin_indices
+from .leecode import MAX_ALIGNED_N, MAX_INDEX_N, PerfectLeeCode
 from .toric import face_from_lin
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
@@ -54,9 +54,7 @@ class InterleavedParams(NamedTuple):
 
 def interleaved_params(n: int) -> InterleavedParams:
     """[[alpha q^n, alpha q^{n-1}, q^2]] with rate 1/q and gain (q^2+1)/q."""
-    n = operator.index(n)
-    if n < 5:
-        raise ValueError(f"unsupported dimension: n must be >= 5, got {n}")
+    n = at_least("unsupported dimension: n", n, 5)
     q = 2 * n + 1
     alpha = n * (n - 1) // 2
     R_i = Fraction(1, q)
@@ -72,11 +70,10 @@ def interleaved_params(n: int) -> InterleavedParams:
 
 
 def check_int64(n: int) -> None:
-    """Raise ValueError unless every face index fits in int64; needs no code, only n."""
-    n_faces = interleaved_params(n).length
-    if n_faces > INT64_MAX:
-        raise ValueError(f"n = {n} has {n_faces} faces, more than the int64"
-                         f" limit 2^63 - 1 of the bulk index arithmetic (n <= 12)")
+    """Raise ValueError unless n >= 5 and every face index fits in int64 (n <= MAX_INDEX_N)."""
+    if at_least("unsupported dimension: n", n, 5) > MAX_INDEX_N:
+        raise ValueError(f"n = {n} has more faces than the int64 limit 2^63 - 1"
+                         f" of the bulk index arithmetic (n <= {MAX_INDEX_N})")
 
 
 class InterleavingMap:
@@ -110,10 +107,7 @@ class InterleavingMap:
 
     def logical_from_lin(self, idx: int) -> LogicalAddress:
         """Split ((j * q^{n-2} + r) * alpha + o) * q + p into its address."""
-        idx = operator.index(idx)
-        if not 0 <= idx < self.n_faces:
-            raise ValueError(f"logical index {idx} out of range [0, {self.n_faces})")
-        idx, p = divmod(idx, self.q)
+        idx, p = divmod(in_range("logical index", idx, self.n_faces), self.q)
         idx, o = divmod(idx, self.alpha)
         j, r = divmod(idx, self.code.codewords_per_section)
         return LogicalAddress(j, r, o, p)
@@ -259,14 +253,14 @@ def make_burst(
     uniform-random   ``count`` distinct faces anywhere (control model).
 
     The input rules are checked here, before anything is drawn: a known
-    model, a count in [0, n_faces] for uniform-random and for no other
-    model, and draws that fit in int64 (uniform-random needs n <= 12,
-    aligned n <= 14).  A broken rule raises ValueError.  This is
-    ``simulate``'s per-trial draw and chunk kernel run for one trial.
+    model, and draws that fit in int64 (uniform-random needs n <= MAX_INDEX_N,
+    aligned n <= MAX_ALIGNED_N), then an int seed >= 0.  A broken rule raises
+    ValueError.  This is ``simulate``'s per-trial draw and chunk kernel run
+    for one trial.
     """
     count = _check_burst_rules(map_.n, model, count)
     if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+        rng = np.random.default_rng(at_least("seed", rng, 0))
     anchors, orientations, centers, _ = _place(map_, model, [_draw(map_, model, rng, count)])
     faces = frozenset(
         hypercube_lin_index(a, map_.q) * map_.alpha + o
@@ -289,10 +283,9 @@ def _check_burst_rules(n: int, model: str, count: int | None) -> int | None:
         n_faces = interleaved_params(n).length
         if count > n_faces:
             raise ValueError(f"cannot draw {count} distinct faces out of {n_faces}")
-    per_section = (2 * n + 1) ** (n - 2)
-    if model == "aligned" and per_section > INT64_MAX:
-        raise ValueError(f"aligned model draws ranks below q^(n-2) = {per_section},"
-                         f" more than the int64 limit 2^63 - 1 of the random draw (n <= 14)")
+    if model == "aligned" and n > MAX_ALIGNED_N:
+        raise ValueError(f"aligned model at n = {n} draws ranks below q^(n-2), more than the"
+                         f" int64 limit 2^63 - 1 of the random draw (n <= {MAX_ALIGNED_N})")
     return count
 
 
@@ -425,11 +418,7 @@ def trial_rng(master_seed: int, trial: int) -> np.random.Generator:
 
 def check_simulation_rules(n: int, model: str, trials: int, seed: int, count: int | None) -> tuple:
     """(trials, seed, count) as ints; ValueError unless trials >= 1, seed >= 0 and the burst rules hold."""
-    trials, seed = operator.index(trials), operator.index(seed)
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
+    trials, seed = at_least("trials", trials, 1), at_least("seed", seed, 0)
     return trials, seed, _check_burst_rules(n, model, count)
 
 

@@ -18,6 +18,22 @@ from ._numpy import np
 IntVector = tuple[int, ...]
 
 
+def at_least(name: str, value: int, low: int) -> int:
+    """value as an int; ValueError ``{name} must be >= {low}, got {value}`` unless value >= low."""
+    value = operator.index(value)
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
+    return value
+
+
+def in_range(name: str, value: int, total: int) -> int:
+    """value as an int; ValueError ``{name} {value} out of range [0, {total})`` unless in range."""
+    value = operator.index(value)
+    if not 0 <= value < total:
+        raise ValueError(f"{name} {value} out of range [0, {total})")
+    return value
+
+
 def canonical_rep(x: int, q: int) -> int:
     """Centered representative of the residue x, in (-q/2, q/2].
 
@@ -26,8 +42,7 @@ def canonical_rep(x: int, q: int) -> int:
     """
     if q < 3 or q % 2 == 0:
         raise ValueError(f"modulus must be odd and >= 3, got {q}")
-    if not 0 <= x < q:
-        raise ValueError(f"residue {x} out of range [0, {q})")
+    x = in_range("residue", x, q)
     return x if x <= (q - 1) // 2 else x - q
 
 
@@ -97,9 +112,8 @@ def hypercube_lin_index(z: Sequence[int], q: int) -> int:
 
 def hypercube_from_lin(idx: int, q: int, n: int) -> IntVector:
     """Inverse of hypercube_lin_index."""
-    idx, q, n = map(operator.index, (idx, q, n))
-    if not 0 <= idx < q**n:
-        raise ValueError(f"index {idx} out of range [0, {q**n})")
+    q, n = operator.index(q), operator.index(n)
+    idx = in_range("index", idx, q**n)
     out = [0] * n
     for i in range(n - 1, -1, -1):
         idx, out[i] = divmod(idx, q)

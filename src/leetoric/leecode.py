@@ -17,7 +17,6 @@ NumPy.
 from __future__ import annotations
 
 import itertools
-import operator
 from functools import cached_property
 from typing import Iterator, NamedTuple, Sequence
 
@@ -25,10 +24,12 @@ from ._numpy import np
 from .lattice import (
     IntVector,
     _check_residues,
+    at_least,
     canonical_rep,
     det_adj,
     digits_of,
     hypercube_from_lin,
+    in_range,
     lin_indices,
     mannheim_weight,
     slot_offset,
@@ -43,6 +44,13 @@ _MAX_VIOLATIONS = 10
 # verify takes at most this many samples: the sampled sweep at n = 12 takes
 # ~36 s in process at 10^8 on 2 vCPUs, and would take ~6 min at 10^9
 MAX_SAMPLES = 10**8
+# the largest n of each dimension rule, which compares n alone and builds no
+# count: exhaustive verify sweeps 21 * 15^7 slots at n = 7 in ~13 s in process
+# on 2 vCPUs; the bulk maps need every face index alpha * q^n in int64; the
+# aligned model draws its ranks below q^(n-2) in int64
+MAX_EXHAUSTIVE_N = 7
+MAX_INDEX_N = 12
+MAX_ALIGNED_N = 14
 
 
 def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[int, np.ndarray]]:
@@ -91,9 +99,7 @@ class GeneratorSet(NamedTuple):
 
 def build_generators(n: int) -> GeneratorSet:
     """Construct the generator rows for dimension n >= 5."""
-    n = operator.index(n)
-    if n < 5:
-        raise ValueError(f"unsupported dimension: n must be >= 5, got {n}")
+    n = at_least("unsupported dimension: n", n, 5)
     q = 2 * n + 1
     v = (0,) * (n - 2) + (1, 2 * n - 2)
     v1 = (0,) * (n - 2) + (1, -3)
@@ -265,10 +271,7 @@ class PerfectLeeCode:
         digit adds its row's _digit_support pairs, the ones _peel subtracts.
         """
         q, n = self.q, self.n
-        if not 0 <= j < q:
-            raise ValueError(f"section {j} out of range [0, {q})")
-        if not 0 <= r < self.codewords_per_section:
-            raise ValueError(f"rank {r} out of range [0, {self.codewords_per_section})")
+        j, r = in_range("section", j, q), in_range("rank", r, self.codewords_per_section)
         point = [0] * n
         for m, support in zip((j,) + hypercube_from_lin(r, q, n - 2), self._digit_support):
             for c, b in support:
@@ -454,20 +457,17 @@ class PackingReport(NamedTuple):
 
 
 def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> tuple[int, int]:
-    """(samples, seed) as ints; ValueError unless mode is known, exhaustive only at n <= 7,
-    samples in [1, MAX_SAMPLES] and seed >= 0."""
-    samples, seed = operator.index(samples), operator.index(seed)
+    """(samples, seed) as ints; ValueError unless mode is known, exhaustive only at
+    n <= MAX_EXHAUSTIVE_N, samples in [1, MAX_SAMPLES] and seed >= 0."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
-    if mode == "exhaustive" and n > 7:
-        raise ValueError("exhaustive verification is only supported for n <= 7; use --mode sampled")
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples}")
+    if mode == "exhaustive" and n > MAX_EXHAUSTIVE_N:
+        raise ValueError(f"exhaustive verification is only supported for n <= {MAX_EXHAUSTIVE_N};"
+                         " use --mode sampled")
+    samples = at_least("samples", samples, 1)
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    return samples, seed
+    return samples, at_least("seed", seed, 0)
 
 
 def scalar_answer(fn, *args):

@@ -14,7 +14,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .lattice import IntVector, hypercube_from_lin
+from .lattice import IntVector, at_least, hypercube_from_lin, in_range
 from .leecode import generator_matrix
 
 
@@ -55,11 +55,9 @@ def face_from_lin(idx: int, n: int, q: int) -> tuple[IntVector, int]:
 
     Orientation o numbers the axis pairs a < b in lexicographic order.
     """
-    idx, n, q = map(operator.index, (idx, n, q))
+    n, q = operator.index(n), operator.index(q)
     alpha = n * (n - 1) // 2
-    if not 0 <= idx < alpha * q**n:
-        raise ValueError(f"face index {idx} out of range [0, {alpha * q**n})")
-    lin, o = divmod(idx, alpha)
+    lin, o = divmod(in_range("face index", idx, alpha * q**n), alpha)
     return hypercube_from_lin(lin, q, n), o
 
 
@@ -85,8 +83,7 @@ def kitaev_2d_stabilizers(q: int) -> StabilizerCheck2D:
     Commutation is verified pairwise by brute force: every vertex-face
     support overlap must have even size.
     """
-    if q < 2:
-        raise ValueError(f"torus size must be >= 2, got {q}")
+    q = at_least("torus size", q, 2)
 
     def h_edge(x: int, y: int) -> int:
         return (y % q) * q + (x % q)

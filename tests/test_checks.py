@@ -87,12 +87,15 @@ class TestMinDistanceReadsGenerators:
             for vec in weight_w_vectors(n, w, code.q):
                 assert code.lattice_membership(vec) == in_lattice(code.matrix, vec)
 
-    def test_singular_generator_aborts_min_distance(self):
+    def test_singular_generator_fails_min_distance(self):
+        # a singular A has no adjugate, so the sphere search has no membership
+        # test: that is the check's verdict, not an abort
         gens = build_generators(5)
         code = PerfectLeeCode(gens._replace(v1=gens.v))
         rows = {r.name: r for r in run_verification(5, "sampled", samples=2000, code=code)}
         assert not rows["min_distance"].ok
-        assert rows["min_distance"].detail == "check aborted: generator matrix is singular"
+        assert rows["min_distance"].detail == (
+            "minimum Mannheim distance not searched: generator matrix is singular")
 
 
 class TestRunVerification:
@@ -215,11 +218,12 @@ class TestFaultsFailTheirCheck:
         # +1 on the section row's first support entry: the scalar rows, every
         # 15th codeword, first reach section 1 at index 89 * 15 = 11^3 + 4, where
         # rank_of raises on the true point and codeword_from_rank gives another;
-        # that is the oracle disagreeing, not the check aborting
+        # that is the oracle disagreeing, not the check aborting, and the detail
+        # names rank_of, the direction checked first
         code = next(oracle_faults(5))
         rows = {r.name: (r.ok, r.detail) for r in run_verification(5, "exhaustive", 1, code=code)}
         assert rows["codeword_bijection"] == (
-            False, "scalar codeword_from_rank disagrees with encode at (j=1, r=4)")
+            False, "scalar rank_of disagrees with decode at (j=1, r=4)")
         # confinement's verdict is the bulk pass's alone
         assert rows["section_confinement"] == (
             True, "all 1610510 addresses stay in their section, orientation intact")

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import jsonschema
@@ -421,7 +422,7 @@ class TestInt64Limit:
         assert "int64 limit 2^63 - 1" in capsys.readouterr().err
         assert not out_path.exists()
 
-    INT64_MESSAGE = (f"n = 13 has {78 * 27**13} faces, more than the int64 limit 2^63 - 1"
+    INT64_MESSAGE = ("n = 13 has more faces than the int64 limit 2^63 - 1"
                      " of the bulk index arithmetic (n <= 12)")
 
     @pytest.mark.parametrize(
@@ -451,6 +452,25 @@ class TestInt64Limit:
             main(argv)
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not out_path.exists()
+
+    @pytest.mark.parametrize("argv, limit", [
+        (["verify", "--mode", "sampled"], "(n <= 12)"),
+        (["export-map", "--out"], "(n <= 12)"),
+        (["simulate", "--model", "uniform-random", "--count", "5", "--trials", "1"], "(n <= 12)"),
+        (["simulate", "--model", "aligned", "--trials", "1"], "(n <= 14)"),
+    ], ids=["verify", "export-map", "simulate-uniform", "simulate-aligned"])
+    def test_rules_compare_n_alone(self, tmp_path, capsys, argv, limit):
+        # no rule builds q^n: at n = 4 * 10^6 it has ~2.8 * 10^7 digits
+        out_path = tmp_path / "never.bin"
+        argv = argv[:1] + ["--n", "4000000"] + argv[1:] + ([str(out_path)] if "--out" in argv else [])
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "n = 4000000" in err and "int64 limit 2^63 - 1" in err and limit in err
         assert not out_path.exists()
 
     def test_aligned_rejected_above_n14(self, capsys, monkeypatch):

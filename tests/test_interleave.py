@@ -24,9 +24,11 @@ from leetoric.interleave import (
     simulate,
     trial_rng,
 )
-from leetoric.lattice import digits_of, hypercube_from_lin, hypercube_lin_index, lin_indices
-from leetoric.leecode import PerfectLeeCode, build_generators, generator_matrix
-from leetoric.toric import face_from_lin
+from leetoric.lattice import (canonical_rep, digits_of, hypercube_from_lin, hypercube_lin_index,
+                              lin_indices)
+from leetoric.leecode import (MAX_ALIGNED_N, MAX_INDEX_N, MAX_SAMPLES, PerfectLeeCode,
+                              build_generators, check_verification_rules, generator_matrix)
+from leetoric.toric import face_from_lin, kitaev_2d_stabilizers
 
 from conftest import lee_distance
 
@@ -72,8 +74,40 @@ class TestInterleavedParams:
         check_int64(12)
         with pytest.raises(ValueError) as exc:
             check_int64(13)
-        assert str(exc.value) == (f"n = 13 has {78 * 27**13} faces, more than the int64"
+        assert str(exc.value) == ("n = 13 has more faces than the int64"
                                   " limit 2^63 - 1 of the bulk index arithmetic (n <= 12)")
+
+    def test_n_limits_are_the_largest_n_whose_count_fits_int64(self):
+        # both counts grow with n, so each limit is where its count first passes
+        # 2^63 - 1: alpha q^n faces for the bulk maps, q^(n-2) ranks for aligned
+        def faces(n):
+            return interleaved_params(n).length
+
+        def ranks(n):
+            return (2 * n + 1) ** (n - 2)
+
+        for count, limit in ((faces, MAX_INDEX_N), (ranks, MAX_ALIGNED_N)):
+            assert count(limit) <= interleave.INT64_MAX < count(limit + 1)
+
+    @pytest.mark.parametrize("rule, message", [
+        (check_int64, "n = 2000 has more faces than the int64 limit 2^63 - 1"
+                      " of the bulk index arithmetic (n <= 12)"),
+        (lambda n: run_verification(n, "sampled", 100),
+         "n = 2000 has more faces than the int64 limit 2^63 - 1"
+         " of the bulk index arithmetic (n <= 12)"),
+        (lambda n: check_simulation_rules(n, "uniform-random", 1, 0, 5),
+         "n = 2000 has more faces than the int64 limit 2^63 - 1"
+         " of the bulk index arithmetic (n <= 12)"),
+        (lambda n: check_simulation_rules(n, "aligned", 1, 0, None),
+         "aligned model at n = 2000 draws ranks below q^(n-2), more than the"
+         " int64 limit 2^63 - 1 of the random draw (n <= 14)"),
+    ], ids=["check_int64", "run_verification", "uniform-random", "aligned"])
+    def test_rules_past_the_str_digit_limit_give_their_own_message(self, rule, message):
+        # q^n has over 4300 digits from n = 1263: a rule that formatted the
+        # count would end in Python's own int-to-str error instead
+        with pytest.raises(ValueError) as exc:
+            rule(2000)
+        assert str(exc.value) == message
 
 
 class TestScalarMap:
@@ -156,6 +190,60 @@ class TestNumpyIntegers:
     def test_rules_on_n(self, rule, n):
         call = self.RULES_ON_N[rule]
         assert outcome(call, np.int64(n)) == outcome(call, n)
+
+    # each rule at its limit, which it accepts, and one past it, which it
+    # rejects with this message: (call, limit, past, message)
+    BOUNDARIES = {
+        "n >= 5": (build_generators, 5, 4, "unsupported dimension: n must be >= 5, got 4"),
+        "n >= 5, params": (interleaved_params, 5, 4,
+                           "unsupported dimension: n must be >= 5, got 4"),
+        "exhaustive n": (lambda n: check_verification_rules(n, "exhaustive", 1, 0), 7, 8,
+                         "exhaustive verification is only supported for n <= 7;"
+                         " use --mode sampled"),
+        "index n": (check_int64, 12, 13, "n = 13 has more faces than the int64 limit"
+                                         " 2^63 - 1 of the bulk index arithmetic (n <= 12)"),
+        "aligned n": (lambda n: check_simulation_rules(n, "aligned", 1, 0, None), 14, 15,
+                      "aligned model at n = 15 draws ranks below q^(n-2), more than the"
+                      " int64 limit 2^63 - 1 of the random draw (n <= 14)"),
+        "samples >= 1": (lambda k: check_verification_rules(5, "sampled", k, 0), 1, 0,
+                         "samples must be >= 1, got 0"),
+        "samples <= 10^8": (lambda k: check_verification_rules(5, "sampled", k, 0),
+                            MAX_SAMPLES, MAX_SAMPLES + 1,
+                            "samples must be <= 100000000, got 100000001"),
+        "trials": (lambda t: check_simulation_rules(5, "translate", t, 0, None), 1, 0,
+                   "trials must be >= 1, got 0"),
+        "verify seed": (lambda s: check_verification_rules(5, "sampled", 1, s), 0, -1,
+                        "seed must be >= 0, got -1"),
+        "simulate seed": (lambda s: check_simulation_rules(5, "translate", 1, s, None), 0, -1,
+                          "seed must be >= 0, got -1"),
+        "make_burst seed": (lambda s: make_burst(MAPS[5], "translate", s), 0, -1,
+                            "seed must be >= 0, got -1"),
+        "count >= 0": (lambda c: check_simulation_rules(5, "uniform-random", 1, 0, c), 0, -1,
+                       "uniform-random model needs a count >= 0, got -1"),
+        "count <= faces": (lambda c: check_simulation_rules(5, "uniform-random", 1, 0, c),
+                           1610510, 1610511, "cannot draw 1610511 distinct faces out of 1610510"),
+        "torus size": (kitaev_2d_stabilizers, 2, 1, "torus size must be >= 2, got 1"),
+        "residue": (lambda x: canonical_rep(x, 11), 10, 11, "residue 11 out of range [0, 11)"),
+        "index": (lambda i: hypercube_from_lin(i, 11, 5), 11**5 - 1, 11**5,
+                  "index 161051 out of range [0, 161051)"),
+        "face index": (lambda i: face_from_lin(i, 5, 11), 1610509, 1610510,
+                       "face index 1610510 out of range [0, 1610510)"),
+        "logical index": (lambda i: MAPS[5].logical_from_lin(i), 1610509, 1610510,
+                          "logical index 1610510 out of range [0, 1610510)"),
+        "section": (lambda j: MAPS[5].code.codeword_from_rank(j, 0), 10, 11,
+                    "section 11 out of range [0, 11)"),
+        "rank": (lambda r: MAPS[5].code.codeword_from_rank(0, r), 1330, 1331,
+                 "rank 1331 out of range [0, 1331)"),
+    }
+
+    @pytest.mark.parametrize("rule", sorted(BOUNDARIES))
+    @pytest.mark.parametrize("kind", [int, np.int64], ids=["int", "int64"])
+    def test_each_rule_accepts_its_limit_and_rejects_one_past_it(self, rule, kind):
+        call, limit, past, message = self.BOUNDARIES[rule]
+        call(kind(limit))
+        with pytest.raises(ValueError) as exc:
+            call(kind(past))
+        assert str(exc.value) == message
 
     @pytest.mark.parametrize("n", [4, 13, 40])
     def test_verification_refuses_before_any_check(self, n):
@@ -455,6 +543,16 @@ class TestMakeBurst:
         assert make_burst(map5, "uniform-random", 8, count=0).faces == frozenset()
         burst = make_burst(map5, "uniform-random", 8, count=121)
         assert len(burst.faces) == 121
+
+    def test_seed_rule(self, map5):
+        # an int seed is read by simulate's rule (TestNumpyIntegers.BOUNDARIES has
+        # its limit); a Generator is used as it is
+        with pytest.raises(TypeError):
+            make_burst(map5, "translate", 2.0)
+        rng = np.random.default_rng(5)
+        first, second = make_burst(map5, "translate", rng), make_burst(map5, "translate", rng)
+        assert first == make_burst(map5, "translate", 5) == make_burst(map5, "translate", np.int8(5))
+        assert second != first  # the stream carried on
 
     def test_uniform_random_needs_count(self, map5):
         with pytest.raises(ValueError):
