@@ -171,19 +171,17 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
     The rows are map_.logical_pieces': exhaustive, each anchor is encoded
     and decoded once, and every row that involves the orientation is
     compared on the full grid of the piece's slots.  export-map composes the
-    forward rows into face indices with lin_indices, unchecked, so a face
-    digit outside its radix aborts both.  Confinement holds iff the section and
-    orientation rows of inverse(forward(i)) are i's; a bad face fails both
-    checks.  Each failure names the first slot in sweep order.
+    forward rows into face indices with lin_indices, unchecked, so an anchor
+    digit outside [0, q) fails the round trip, though decode reads it mod q.
+    Confinement holds iff the section and orientation rows of inverse(forward(i))
+    are i's; a bad face fails both checks.  Each failure names the first slot.
     """
-    total, radices = map_.n_faces, map_.logical_radices
+    total, radices, q = map_.n_faces, map_.logical_radices, map_.q
     # sampled confinement reads a prefix of the round trip's draws: the first k
     k = total if mode == "exhaustive" else min(samples, SAMPLE_CAP)
-    trip = leak = None  # the first failure of each check
-    # the (logical index, face index) pairs of the sweep's 200 scalar_rows, the face
-    # index composed as export-map composes it; the scalar map checks them after the
-    # sweep, so that a bulk mismatch is reported first
-    spots = []
+    # the first failure of each check; the scalar map's, on the sweep's 200 scalar_rows,
+    # counts only if the bulk pass finds none, so that a bulk mismatch is reported first
+    trip = leak = scalar = None
     for start, logical in map_.logical_pieces(mode, samples, seed):
         shape = np.broadcast_shapes(*(np.shape(row) for row in logical))
 
@@ -192,27 +190,29 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
         def first(masks):  # (the first position the masks flag, the first mask that flags it)
             return min((np.broadcast_to(m, shape).argmax(), j) for j, m in enumerate(masks) if m.any())
 
-        def entry(row, i):  # the row's entries at positions i
-            return np.broadcast_to(row, shape)[np.unravel_index(i, shape)]
-
         def slot(i, rows=logical, radices=radices):  # the indices the rows compose at positions i
-            return lin_indices([entry(row, i) for row in rows], radices)
+            at = np.unravel_index(i, shape)
+            return lin_indices([np.broadcast_to(row, shape)[at] for row in rows], radices)
 
         rows = map_.forward_digits(logical)  # the face's digit rows, then the logical ones back
-        if any(row.min() < 0 or row.max() >= radix for row, radix in zip(rows, map_.face_radices)):
-            out = [(row < 0) | (row >= radix) for row, radix in zip(rows, map_.face_radices)]
-            i, d = first(out)
-            raise ValueError(f"face digit {d} of logical index {slot(i)} is {entry(rows[d], i)},"
-                             f" out of range [0, {map_.face_radices[d]})")
+        # where an anchor digit leaves [0, q); a changed orientation is turned, so its row needs no test
+        out = None
+        if any(row.min() < 0 or row.max() >= q for row in rows[:-1]):
+            out = np.logical_or.reduce([(row < 0) | (row >= q) for row in rows[:-1]])
         i = scalar_rows(start, np.prod(shape), total if mode == "exhaustive" else samples, 200)
-        spots += zip(slot(i).tolist(), slot(i, rows, map_.face_radices).tolist())
+        # the face index composed as export-map composes it
+        for idx, fwd in zip(slot(i).tolist(), slot(i, rows, map_.face_radices).tolist()):
+            if scalar is None and scalar_answer(map_.forward_index, idx) != fwd:
+                scalar = f"scalar/bulk forward disagree at {idx}"
+            elif scalar is None and scalar_answer(map_.inverse_index, fwd) != idx:
+                scalar = f"scalar inverse broken at {idx}"
         rows, bad = map_.inverse_digits(rows)
         # The orientation is compared apart from the other rows, whose masks fold
         # into one once per orientation-free tuple; a row that involves the
         # orientation is compared on the full grid of slots.
         moved = bad | (rows[0] != logical[0])
         turned = rows[-2] != logical[-2]
-        miss = moved
+        miss = moved if out is None else moved | out
         for row, want in zip(rows[1:-2] + rows[-1:], logical[1:-2] + logical[-1:]):
             miss = miss | (row != want)
         if trip is None and (miss.any() or turned.any()):
@@ -223,11 +223,7 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
                 addr = map_.logical_from_lin(int(slot(i)))
                 leak = (f"orientation changed at {addr}" if turned_only
                         else f"physical codeword of {addr} leaves section {addr.section}")
-    for i, fwd in spots:
-        if trip is None and scalar_answer(map_.forward_index, i) != fwd:
-            trip = f"scalar/bulk forward disagree at {i}"
-        elif trip is None and scalar_answer(map_.inverse_index, fwd) != i:
-            trip = f"scalar inverse broken at {i}"
+    trip = trip or scalar
     if mode == "exhaustive":
         passed = f"all {total} slots round-trip; image is a permutation", f"all {k} addresses"
     else:

@@ -184,7 +184,7 @@ def cmd_verify(args) -> int:
     mode = args.mode or ("exhaustive" if args.n == 5 else "sampled")
     code = None
     if args.corrupt_generator:
-        # run_verification's rules, before the O(n^3) build of the faulty code
+        # run_verification's rules, before the faulty code is built
         check_verification_rules(args.n, mode, args.samples, args.seed)
         check_int64(args.n)
         # the first middle row v_2 gets +1 on its last coordinate
@@ -295,7 +295,7 @@ def cmd_tables(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    # simulate's rules, before the O(n^3) build of the code
+    # simulate's rules, before the code is built
     check_simulation_rules(args.n, args.model, args.trials, args.seed, args.count)
     map_ = InterleavingMap(generator_matrix(args.n))
     start = time.perf_counter()

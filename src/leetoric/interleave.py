@@ -24,7 +24,6 @@ from .leecode import MAX_ALIGNED_N, MAX_INDEX_N, PerfectLeeCode
 from .toric import face_from_lin
 
 BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
-INT64_MAX = 2**63 - 1  # np.iinfo(np.int64).max, known without loading NumPy
 # simulate places and tallies bursts in chunks of about this many faces; larger
 # chunks cost peak memory and gain little (8192 raised the montecarlo peak RSS
 # from 36.5 to 37.7 MB)

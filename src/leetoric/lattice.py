@@ -75,7 +75,8 @@ def det_adj(rows: Sequence[Sequence[int]]) -> tuple[int, tuple[IntVector, ...] |
             m[k], m[pivot] = m[pivot], m[k]
             sign = -sign
         for i in range(n):
-            if i != k:
+            # a zero entry under a pivot equal to prev leaves the row as it is: m[i] * prev // prev
+            if i != k and (m[i][k] or m[k][k] != prev):
                 m[i] = [(x * m[k][k] - m[i][k] * y) // prev for x, y in zip(m[i], m[k])]
         prev = m[k][k]
     return sign * prev, tuple(tuple(sign * x for x in r[n:]) for r in m)

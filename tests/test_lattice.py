@@ -148,6 +148,11 @@ def check_det_adj(m):
         assert adj is None
         return
     assert adj == cofactor_adj(m)
+    check_adjugate(m, det, adj)
+
+
+def check_adjugate(m, det, adj):
+    """A adj A = det I, which pins adj A once det A is known and nonzero."""
     size = len(m)
     for i in range(size):
         for j in range(size):
@@ -178,6 +183,18 @@ class TestDetAdj:
         rows = fault_rows()[fault]
         check_det_adj(rows)
         assert det_adj(rows)[0] == det
+
+    def test_large_generator_set_and_fault(self):
+        # the cofactor oracle is too slow at n = 40; |det A| = q there, and det is
+        # linear in each row, so +1 on v's last entry adds its cofactor adj A[n-1][0]
+        rows = build_generators(40).rows()
+        det, adj = det_adj(rows)
+        assert abs(det) == 81
+        check_adjugate(rows, det, adj)
+        fault = [list(rows[0][:-1]) + [rows[0][-1] + 1], *rows[1:]]
+        fault_det, fault_adj = det_adj(fault)
+        assert fault_det == det + adj[-1][0] == 82
+        check_adjugate(fault, fault_det, fault_adj)
 
     def test_singular_and_empty(self):
         assert det_adj([[1, 2], [2, 4]]) == (0, None)
