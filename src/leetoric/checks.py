@@ -12,10 +12,10 @@ import time
 from typing import NamedTuple
 
 from ._numpy import np
-from .interleave import InterleavingMap, check_int64
+from .interleave import InterleavingMap
 from .lattice import digits_of, lin_indices
-from .leecode import (PerfectLeeCode, check_verification_rules, generator_matrix, scalar_answer,
-                      scalar_rows, sweep)
+from .leecode import (PerfectLeeCode, check_n, check_verification_rules, generator_matrix,
+                      scalar_answer, scalar_rows, sweep)
 
 SAMPLE_CAP = 20000  # sampled pairs (bijection) and addresses (confinement)
 
@@ -37,12 +37,12 @@ def run_verification(
     """Run the full battery of construction checks for dimension n.
 
     Raises ValueError before any check runs if a rule of
-    check_verification_rules or check_int64 is broken: an unknown mode,
-    exhaustive above MAX_EXHAUSTIVE_N, samples outside [1, MAX_SAMPLES], a
-    negative seed, or n outside [5, MAX_INDEX_N].
+    check_verification_rules or check_n("index", n) is broken: an unknown
+    mode, n below 5 or past the N_LIMITS row of its mode or of "index",
+    samples outside [1, MAX_SAMPLES], or a negative seed.
     """
     samples, seed = check_verification_rules(n, mode, samples, seed)
-    check_int64(n)
+    check_n("index", n)
     if code is None:
         code = generator_matrix(n)
     map_ = InterleavingMap(code)

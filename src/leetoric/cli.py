@@ -20,10 +20,11 @@ from fractions import Fraction
 
 from ._numpy import np
 from .checks import run_verification
-from .interleave import (BURST_MODELS, InterleavingMap, check_int64, check_simulation_rules,
-                         interleaved_params, simulate)
+from .interleave import (BURST_MODELS, InterleavingMap, check_simulation_rules, interleaved_params,
+                         simulate)
 from .lattice import digits_of, lin_indices
-from .leecode import PerfectLeeCode, build_generators, check_verification_rules, generator_matrix
+from .leecode import (PerfectLeeCode, build_generators, check_n, check_verification_rules,
+                      generator_matrix)
 from .toric import code_params
 
 EXIT_OK = 0
@@ -186,7 +187,7 @@ def cmd_verify(args) -> int:
     if args.corrupt_generator:
         # run_verification's rules, before the faulty code is built
         check_verification_rules(args.n, mode, args.samples, args.seed)
-        check_int64(args.n)
+        check_n("index", args.n)
         # the first middle row v_2 gets +1 on its last coordinate
         gens = build_generators(args.n)
         fault = gens.middle[0][:-1] + (gens.middle[0][-1] + 1,)
@@ -261,7 +262,8 @@ def cmd_tables(args) -> int:
         raise ValueError(f"--rows must be comma-separated integers, got {args.rows!r}") from None
     if not dims:
         raise ValueError("--rows is empty")
-    tables = _table_rows(dims, args.precision)
+    # every row's rule before any row's distance search
+    tables = _table_rows([check_n("params", n) for n in dims], args.precision)
     p = args.precision
     if args.format == "json":
         print(json.dumps(tables))
@@ -359,7 +361,7 @@ def _physical_pieces(map_: InterleavingMap):
 
 
 def cmd_export_map(args) -> int:
-    check_int64(args.n)  # before the code is built and --out is opened
+    check_n("index", args.n)  # before the code is built and --out is opened
     map_ = InterleavingMap(generator_matrix(args.n))
     binary = args.format == "binary"
     with open(args.out, "wb") as fh:

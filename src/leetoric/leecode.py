@@ -44,13 +44,37 @@ _MAX_VIOLATIONS = 10
 # verify takes at most this many samples: the sampled sweep at n = 12 takes
 # ~36 s in process at 10^8 on 2 vCPUs, and would take ~6 min at 10^9
 MAX_SAMPLES = 10**8
-# the largest n of each dimension rule, which compares n alone and builds no
-# count: exhaustive verify sweeps 21 * 15^7 slots at n = 7 in ~13 s in process
-# on 2 vCPUs; the bulk maps need every face index alpha * q^n in int64; the
-# aligned model draws its ranks below q^(n-2) in int64
-MAX_EXHAUSTIVE_N = 7
-MAX_INDEX_N = 12
-MAX_ALIGNED_N = 14
+# The one dimension rule, read by check_n: each use's largest n and the message
+# past it.  A limit compares n alone and builds no count.  Exhaustive verify
+# sweeps 21 * 15^7 slots at n = 7 in ~13 s; the bulk maps need every face index
+# alpha * q^n in int64, and uniform-random draws them; aligned draws its ranks
+# below q^(n-2) in int64.  The last three bound what grows with n, measured in
+# process on 2 vCPUs: building the code and one translate trial take 2.7 s and
+# 242 MB at n = 1000; params' distance search is O(n^3), 21.5 s at n = 600; a
+# multi-translate trial holds q^2 faces of n coordinates, 1.6 s and 458 MB at
+# n = 150.
+N_LIMITS = {
+    "exhaustive": (7, "exhaustive verification is only supported for n <= {limit};"
+                      " use --mode sampled"),
+    "index": (12, "n = {n} has more faces than the int64 limit 2^63 - 1"
+                  " of the bulk index arithmetic (n <= {limit})"),
+    "aligned": (14, "aligned model at n = {n} draws ranks below q^(n-2), more than the"
+                    " int64 limit 2^63 - 1 of the random draw (n <= {limit})"),
+    "build": (1000, "n = {n} is too large to build: n^2 generator entries (n <= {limit})"),
+    "params": (600, "n = {n} is too large for the minimum-distance search, O(n^3) (n <= {limit})"),
+    "multi-translate": (150, "multi-translate model at n = {n} holds q^2 faces of n coordinates"
+                             " per trial (n <= {limit})"),
+}
+N_LIMITS["uniform-random"] = N_LIMITS["index"]
+
+
+def check_n(use: str, n: int) -> int:
+    """n as an int; ValueError unless 5 <= n <= the limit of use's N_LIMITS row, if use has one."""
+    n = at_least("unsupported dimension: n", n, 5)
+    if use in N_LIMITS and n > N_LIMITS[use][0]:
+        limit, message = N_LIMITS[use]
+        raise ValueError(message.format(n=n, limit=limit))
+    return n
 
 
 def sweep(total: int, mode="exhaustive", k=0, seed=0, row=()) -> Iterator[tuple[int, np.ndarray]]:
@@ -98,8 +122,8 @@ class GeneratorSet(NamedTuple):
 
 
 def build_generators(n: int) -> GeneratorSet:
-    """Construct the generator rows for dimension n >= 5."""
-    n = at_least("unsupported dimension: n", n, 5)
+    """Construct the generator rows for dimension n, under the N_LIMITS row "build"."""
+    n = check_n("build", n)
     q = 2 * n + 1
     v = (0,) * (n - 2) + (1, 2 * n - 2)
     v1 = (0,) * (n - 2) + (1, -3)
@@ -296,14 +320,14 @@ class PerfectLeeCode:
     def _peel(self, point: Sequence[int]) -> tuple[list[int], list[int]]:
         """(digits, rest) of the peel schedule run on a residue vector.
 
-        Each step reads one digit off its coordinate and subtracts that digit's
-        row mod q where it is nonzero (x holds residues); rest is what is left.
+        Each step reads one digit off its coordinate and, unless it is zero, subtracts
+        its row mod q where the row is nonzero (x holds residues); rest is what is left.
         """
         q = self.q
         x, digits = list(point), [0] * (self.n - 1)
         for col, d in self.peel:
             m = digits[d] = x[col]
-            for c, b in self._digit_support[d]:
+            for c, b in self._digit_support[d] if m else ():
                 x[c] = (x[c] - m * b) % q
         return digits, x
 
@@ -457,13 +481,11 @@ class PackingReport(NamedTuple):
 
 
 def check_verification_rules(n: int, mode: str, samples: int, seed: int) -> tuple[int, int]:
-    """(samples, seed) as ints; ValueError unless mode is known, exhaustive only at
-    n <= MAX_EXHAUSTIVE_N, samples in [1, MAX_SAMPLES] and seed >= 0."""
+    """(samples, seed) as ints; ValueError unless mode is known, n passes check_n(mode, n),
+    samples is in [1, MAX_SAMPLES] and seed >= 0."""
     if mode not in ("exhaustive", "sampled"):
         raise ValueError(f"unknown verification mode: {mode!r}")
-    if mode == "exhaustive" and n > MAX_EXHAUSTIVE_N:
-        raise ValueError(f"exhaustive verification is only supported for n <= {MAX_EXHAUSTIVE_N};"
-                         " use --mode sampled")
+    check_n(mode, n)
     samples = at_least("samples", samples, 1)
     if samples > MAX_SAMPLES:
         raise ValueError(f"samples must be <= {MAX_SAMPLES}, got {samples}")

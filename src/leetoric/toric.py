@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .lattice import IntVector, at_least, hypercube_from_lin, in_range
-from .leecode import generator_matrix
+from .leecode import check_n, generator_matrix
 
 
 class ToricParams(NamedTuple):
@@ -37,9 +37,9 @@ def code_params(n: int) -> ToricParams:
     N counts the faces of the radius-1 Lee sphere (alpha faces on each
     of its q hypercubes), k is one alpha per handle of the n-torus, and
     d is computed by the minimum-Mannheim-distance sphere search rather
-    than assumed.
+    than assumed.  n is checked by the N_LIMITS row "params" before the code is built.
     """
-    code = generator_matrix(n)
+    code = generator_matrix(check_n("params", n))
     scan = code.min_mannheim_distance()
     if not scan.exact:
         raise AssertionError("minimum distance exceeded the search radius")

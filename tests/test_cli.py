@@ -494,6 +494,31 @@ class TestInt64Limit:
         assert "success rate 1.000000" in out
 
 
+class TestRunawayLimits:
+    """The commands whose cost grows with n or the count exit 2 one past their limit, at once."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["params", "--n", "601"],
+         "n = 601 is too large for the minimum-distance search, O(n^3) (n <= 600)"),
+        # every row is checked before the first row's distance search (~20 s at n = 600)
+        (["tables", "--rows", "600,601"],
+         "n = 601 is too large for the minimum-distance search, O(n^3) (n <= 600)"),
+        (["simulate", "--n", "1001", "--model", "translate", "--trials", "1"],
+         "n = 1001 is too large to build: n^2 generator entries (n <= 1000)"),
+        (["simulate", "--n", "151", "--model", "multi-translate", "--trials", "1"],
+         "multi-translate model at n = 151 holds q^2 faces of n coordinates per trial (n <= 150)"),
+        (["simulate", "--n", "6", "--model", "uniform-random", "--count", "2097153"],
+         "uniform-random model draws at most 2097152 faces, got 2097153"),
+    ], ids=["params", "tables", "translate", "multi-translate", "uniform-count"])
+    def test_one_past_the_limit_exits_2(self, capsys, argv, message):
+        start = time.perf_counter()
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert time.perf_counter() - start < 1
+        assert exc.value.code == 2
+        assert capsys.readouterr().err.endswith(f"leetoric: error: {message}\n")
+
+
 class TestTables:
     def test_csv_reference_rows(self, capsys):
         code, out, _ = run(capsys, "tables", "--format", "csv")

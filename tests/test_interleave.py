@@ -11,13 +11,13 @@ from leetoric import interleave
 from leetoric.checks import run_verification
 from leetoric.interleave import (
     BURST_MODELS,
+    MAX_COUNT,
     BurstPattern,
     InterleavingMap,
     LogicalAddress,
     SimulationStats,
     _sample_distinct,
     deinterleave_and_correct,
-    check_int64,
     check_simulation_rules,
     interleaved_params,
     make_burst,
@@ -26,8 +26,8 @@ from leetoric.interleave import (
 )
 from leetoric.lattice import (canonical_rep, digits_of, hypercube_from_lin, hypercube_lin_index,
                               lin_indices)
-from leetoric.leecode import (MAX_ALIGNED_N, MAX_INDEX_N, MAX_SAMPLES, PerfectLeeCode,
-                              build_generators, check_verification_rules, generator_matrix)
+from leetoric.leecode import (MAX_SAMPLES, N_LIMITS, PerfectLeeCode, build_generators, check_n,
+                              check_verification_rules, generator_matrix)
 from leetoric.toric import face_from_lin, kitaev_2d_stabilizers
 
 from conftest import lee_distance
@@ -68,13 +68,6 @@ class TestInterleavedParams:
         with pytest.raises(ValueError):
             interleaved_params(4)
 
-    def test_check_int64_accepts_12_and_rejects_13(self):
-        check_int64(12)
-        with pytest.raises(ValueError) as exc:
-            check_int64(13)
-        assert str(exc.value) == ("n = 13 has more faces than the int64"
-                                  " limit 2^63 - 1 of the bulk index arithmetic (n <= 12)")
-
     def test_n_limits_are_the_largest_n_whose_count_fits_int64(self):
         # both counts grow with n, so each limit is where its count first passes
         # 2^63 - 1: alpha q^n faces for the bulk maps, q^(n-2) ranks for aligned
@@ -84,12 +77,14 @@ class TestInterleavedParams:
         def ranks(n):
             return (2 * n + 1) ** (n - 2)
 
-        for count, limit in ((faces, MAX_INDEX_N), (ranks, MAX_ALIGNED_N)):
+        for count, use in ((faces, "index"), (ranks, "aligned")):
+            limit = N_LIMITS[use][0]
             assert count(limit) <= int(np.iinfo(np.int64).max) < count(limit + 1)
 
     @pytest.mark.parametrize("rule, message", [
-        (check_int64, "n = 2000 has more faces than the int64 limit 2^63 - 1"
-                      " of the bulk index arithmetic (n <= 12)"),
+        (lambda n: check_n("index", n),
+         "n = 2000 has more faces than the int64 limit 2^63 - 1"
+         " of the bulk index arithmetic (n <= 12)"),
         (lambda n: run_verification(n, "sampled", 100),
          "n = 2000 has more faces than the int64 limit 2^63 - 1"
          " of the bulk index arithmetic (n <= 12)"),
@@ -99,7 +94,7 @@ class TestInterleavedParams:
         (lambda n: check_simulation_rules(n, "aligned", 1, 0, None),
          "aligned model at n = 2000 draws ranks below q^(n-2), more than the"
          " int64 limit 2^63 - 1 of the random draw (n <= 14)"),
-    ], ids=["check_int64", "run_verification", "uniform-random", "aligned"])
+    ], ids=["check_n", "run_verification", "uniform-random", "aligned"])
     def test_rules_past_the_str_digit_limit_give_their_own_message(self, rule, message):
         # q^n has over 4300 digits from n = 1263: a rule that formatted the
         # count would end in Python's own int-to-str error instead
@@ -177,7 +172,7 @@ class TestNumpyIntegers:
 
     RULES_ON_N = {
         "interleaved_params": interleaved_params,
-        "check_int64": check_int64,
+        "check_n": lambda n: check_n("index", n),
         "build_generators": build_generators,
         "aligned": lambda n: check_simulation_rules(n, "aligned", 1, 0, None),
         "uniform-random": lambda n: check_simulation_rules(n, "uniform-random", 1, 0, 5),
@@ -198,8 +193,9 @@ class TestNumpyIntegers:
         "exhaustive n": (lambda n: check_verification_rules(n, "exhaustive", 1, 0), 7, 8,
                          "exhaustive verification is only supported for n <= 7;"
                          " use --mode sampled"),
-        "index n": (check_int64, 12, 13, "n = 13 has more faces than the int64 limit"
-                                         " 2^63 - 1 of the bulk index arithmetic (n <= 12)"),
+        "index n": (lambda n: check_n("index", n), 12, 13,
+                    "n = 13 has more faces than the int64 limit"
+                    " 2^63 - 1 of the bulk index arithmetic (n <= 12)"),
         "aligned n": (lambda n: check_simulation_rules(n, "aligned", 1, 0, None), 14, 15,
                       "aligned model at n = 15 draws ranks below q^(n-2), more than the"
                       " int64 limit 2^63 - 1 of the random draw (n <= 14)"),
@@ -220,6 +216,9 @@ class TestNumpyIntegers:
                        "uniform-random model needs a count >= 0, got -1"),
         "count <= faces": (lambda c: check_simulation_rules(5, "uniform-random", 1, 0, c),
                            1610510, 1610511, "cannot draw 1610511 distinct faces out of 1610510"),
+        "count <= 2^21": (lambda c: check_simulation_rules(6, "uniform-random", 1, 0, c),
+                          MAX_COUNT, MAX_COUNT + 1,
+                          "uniform-random model draws at most 2097152 faces, got 2097153"),
         "torus size": (kitaev_2d_stabilizers, 2, 1, "torus size must be >= 2, got 1"),
         "residue": (lambda x: canonical_rep(x, 11), 10, 11, "residue 11 out of range [0, 11)"),
         "index": (lambda i: hypercube_from_lin(i, 11, 5), 11**5 - 1, 11**5,

@@ -16,8 +16,10 @@ from leetoric.lattice import (
 )
 from leetoric import lattice, leecode
 from leetoric.leecode import (
+    N_LIMITS,
     PerfectLeeCode,
     build_generators,
+    check_n,
     generator_matrix,
     weight_w_vectors,
 )
@@ -50,6 +52,15 @@ class TestBuildGenerators:
     def test_rejects_n4(self):
         with pytest.raises(ValueError, match="unsupported dimension"):
             build_generators(4)
+
+    @pytest.mark.parametrize("use", sorted(N_LIMITS))
+    def test_check_n_accepts_each_limit_and_rejects_one_past_it(self, use):
+        limit, message = N_LIMITS[use]
+        assert check_n(use, np.int64(limit)) == limit
+        with pytest.raises(ValueError) as exc:
+            check_n(use, limit + 1)
+        assert str(exc.value) == message.format(n=limit + 1, limit=limit)
+        assert f"n <= {limit}" in str(exc.value)
 
     @pytest.mark.parametrize("n", range(5, 13))
     def test_orthogonality(self, n):

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import leetoric
-from leetoric import cli, lattice, leecode, toric
+from leetoric import cli, interleave, lattice, leecode, toric
 from leetoric.interleave import InterleavingMap
 from leetoric.leecode import PerfectLeeCode
 
@@ -37,7 +37,9 @@ def test_root_exports_exactly_the_public_names():
                     "FaceIndex", "determinant"]),
         (lattice, ["centered", "LeeSphere", "lee_sphere", "lee_distance"]),
         (toric, ["face_count", "FaceIndex", "pair_rank", "pair_from_rank", "face_lin_index"]),
-        (leecode, ["check_functional", "_compositions"]),
+        (leecode, ["check_functional", "_compositions", "MAX_EXHAUSTIVE_N", "MAX_INDEX_N",
+                   "MAX_ALIGNED_N"]),
+        (interleave, ["check_int64"]),
         (PerfectLeeCode, ["iter_codewords", "codewords_of_weight", "_tile_assign_consistent",
                           "_syndromes"]),
         (InterleavingMap, ["logical_to_physical", "_check_address", "logical_lin_index",
@@ -45,8 +47,8 @@ def test_root_exports_exactly_the_public_names():
         (leecode.generator_matrix(5), ["peel_matrix"]),
         (cli, ["EXIT_USAGE"]),
     ],
-    ids=["leetoric", "lattice", "toric", "leecode", "PerfectLeeCode", "InterleavingMap", "code",
-         "cli"],
+    ids=["leetoric", "lattice", "toric", "leecode", "interleave", "PerfectLeeCode",
+         "InterleavingMap", "code", "cli"],
 )
 def test_deleted_names_are_gone(owner, names):
     assert [name for name in names if hasattr(owner, name)] == []
