@@ -361,6 +361,7 @@ def _physical_pieces(map_: InterleavingMap):
 
 
 def cmd_export_map(args) -> int:
+    """Write the permutation in logical order, one piece of at most SWEEP_CHUNK (2^15) rows at a time."""
     check_n("index", args.n)  # before the code is built and --out is opened
     map_ = InterleavingMap(generator_matrix(args.n))
     binary = args.format == "binary"

@@ -157,7 +157,7 @@ class InterleavingMap:
 
         ``sampled``: the digit rows of sweep's draw of k slots.  ``exhaustive``:
         every slot, in logical order, in pieces of whole prefixes (section,
-        block, m_{n-2}, ..., m_2) of at most SWEEP_CHUNK orientation-free
+        block, m_{n-2}, ..., m_2) of at most SWEEP_CHUNK (2^15) orientation-free
         tuples (prefix, p), or SWEEP_CHUNK slots if ``by_slot``.  There every
         row but o holds one entry per tuple, shaped (prefixes, 1, q), and o is
         arange(alpha) shaped (alpha, 1), so forward_digits encodes each anchor

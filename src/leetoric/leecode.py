@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 from functools import cached_property
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from ._numpy import np
 from .lattice import (
@@ -35,8 +35,10 @@ from .lattice import (
     slot_offset,
 )
 
-# every bulk sweep walks its indices (or sampled rows) in pieces of this many
-SWEEP_CHUNK = 1 << 16
+# every bulk sweep walks its indices (or sampled rows) in pieces of this many;
+# 2^16 raised verify --n 8 --mode sampled's peak RSS from 40.4 to 44.7 MB, and
+# 2^14 lowered it to 38.2 MB but ran it 12% slower with twice the page faults
+SWEEP_CHUNK = 1 << 15
 # the bulk certificates check at most this many rows of a sweep, spread over it, against the scalar oracle
 SCALAR_ROWS = 1000
 # a PackingReport stores the first this many violations
@@ -50,7 +52,8 @@ MAX_SAMPLES = 10**8
 # alpha * q^n in int64, and uniform-random draws them; aligned draws its ranks
 # below q^(n-2) in int64.  The last three bound what grows with n, measured in
 # process on 2 vCPUs: building the code and one translate trial take 2.7 s and
-# 242 MB at n = 1000; params' distance search is O(n^3), 21.5 s at n = 600; a
+# 242 MB at n = 1000; params' distance search tests O(n^2) candidates, each on
+# at most two adj entries a coordinate, ~2 s and 62 MB at n = 600; a
 # multi-translate trial holds q^2 faces of n coordinates, 1.6 s and 458 MB at
 # n = 150.
 N_LIMITS = {
@@ -61,7 +64,7 @@ N_LIMITS = {
     "aligned": (14, "aligned model at n = {n} draws ranks below q^(n-2), more than the"
                     " int64 limit 2^63 - 1 of the random draw (n <= {limit})"),
     "build": (1000, "n = {n} is too large to build: n^2 generator entries (n <= {limit})"),
-    "params": (600, "n = {n} is too large for the minimum-distance search, O(n^3) (n <= {limit})"),
+    "params": (600, "n = {n} is too large for the minimum-distance search, O(n^2) (n <= {limit})"),
     "multi-translate": (150, "multi-translate model at n = {n} holds q^2 faces of n coordinates"
                              " per trial (n <= {limit})"),
 }
@@ -171,10 +174,11 @@ class PerfectLeeCode:
         self.matrix = generators.rows()
         self.h = tuple(range(1, self.n + 1))  # the check functional
         self.alpha = self.n * (self.n - 1) // 2
-        # det A, |det A| = q for a valid code, and the columns of adj A (None
-        # if A is singular) from one elimination
+        # det A, |det A| = q for a valid code, and from the same elimination
+        # the membership test's table (None if A is singular): for each
+        # coordinate i, the nonzero (column, entry mod det A) pairs of row i of adj A
         self.det, adj = det_adj(self.matrix)
-        self._adj_columns = None if adj is None else tuple(zip(*adj))
+        self._adj_terms = None if adj is None else _terms(tuple(zip(*adj)), abs(self.det))
         n, q = self.n, self.q
         # The slot-offset table, built once: row b is slot_offset(b, n).
         self.offsets = tuple(slot_offset(b, n) for b in range(q))
@@ -245,9 +249,17 @@ class PerfectLeeCode:
         mod det A.  For a valid code this is the kernel of h mod q.
         """
         self._check_length(x)
-        if self._adj_columns is None:
+        return self._member((i, a) for i, a in enumerate(x) if a)
+
+    def _member(self, terms: Iterable[tuple[int, int]]) -> bool:
+        """lattice_membership of the vector of these (coordinate, value) terms, on adj's nonzeros."""
+        if self._adj_terms is None:
             raise ValueError("generator matrix is singular")
-        return all(sum(a * b for a, b in zip(x, c)) % self.det == 0 for c in self._adj_columns)
+        dot: dict[int, int] = {}
+        for i, a in terms:
+            for c, b in self._adj_terms[i]:
+                dot[c] = dot.get(c, 0) + a * b
+        return all(s % self.det == 0 for s in dot.values())
 
     def non_orthogonal_rows(self) -> list[IntVector]:
         """Generator rows with h.row != 0 mod q; empty for a valid code."""
@@ -396,14 +408,14 @@ class PerfectLeeCode:
     def min_mannheim_distance(self, radius_cap: int = 4) -> MinDistanceResult:
         """Smallest Mannheim weight of a nonzero codeword.
 
-        Sphere search: enumerate every centered vector of weight
-        1..radius_cap and test membership, so no codeword enumeration is
-        needed.  The first weight with a hit is the exact minimum.
+        Sphere search: test every centered vector of weight 1..radius_cap, as its (support,
+        values) in weight_w_vectors' order, for membership, so no codeword enumeration is
+        needed.  The first weight with a hit is the exact minimum; only its witness is built.
         """
         for w in range(1, radius_cap + 1):
-            for vec in weight_w_vectors(self.n, w, self.q):
-                if self.lattice_membership(vec):
-                    return MinDistanceResult(w, vec, True)
+            for support, values in _weight_w_terms(self.n, w, self.q):
+                if self._member(zip(support, values)):
+                    return MinDistanceResult(w, _vector(self.n, support, values), True)
         return MinDistanceResult(radius_cap + 1, None, False)
 
     def section_subcode_distance(self) -> int:
@@ -546,7 +558,12 @@ def generator_matrix(n: int) -> PerfectLeeCode:
 
 
 def weight_w_vectors(n: int, w: int, q: int) -> Iterator[IntVector]:
-    """All length-n vectors of exact Mannheim weight w, centered entries.
+    """All length-n vectors of exact Mannheim weight w, centered entries, in _weight_w_terms' order."""
+    return (_vector(n, support, values) for support, values in _weight_w_terms(n, w, q))
+
+
+def _weight_w_terms(n: int, w: int, q: int) -> Iterator[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """The (support, values) of every length-n vector of exact Mannheim weight w, centered entries.
 
     Enumerates supports of size s <= min(w, n), the compositions of w into s parts in [1, (q-1)/2]
     (s - 1 cuts among the w - 1 gaps, in lexicographic order) and all sign choices.
@@ -555,11 +572,14 @@ def weight_w_vectors(n: int, w: int, q: int) -> Iterator[IntVector]:
     for s in range(1, min(w, n) + 1):
         cuts = itertools.combinations(range(1, w), s - 1)
         parts = ([b - a for a, b in zip((0, *c), (*c, w))] for c in cuts)
-        compositions = [mags for mags in parts if max(mags) <= cap]
+        signed = [tuple(sign * mag for sign, mag in zip(signs, mags))
+                  for mags in parts if max(mags) <= cap
+                  for signs in itertools.product((1, -1), repeat=s)]
         for support in itertools.combinations(range(n), s):
-            for mags in compositions:
-                for signs in itertools.product((1, -1), repeat=s):
-                    vec = [0] * n
-                    for pos, mag, sign in zip(support, mags, signs):
-                        vec[pos] = sign * mag
-                    yield tuple(vec)
+            for values in signed:
+                yield support, values
+
+
+def _vector(n: int, support: Sequence[int], values: Sequence[int]) -> IntVector:
+    """The length-n vector with these values at support and zeros elsewhere."""
+    return tuple(dict(zip(support, values)).get(i, 0) for i in range(n))

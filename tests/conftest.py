@@ -1,3 +1,5 @@
+import tracemalloc
+
 import pytest
 
 from leetoric import InterleavingMap, generator_matrix
@@ -7,6 +9,15 @@ from leetoric.lattice import mannheim_weight
 def lee_distance(u, v, q):
     """Lee distance of two residue vectors: the Mannheim weight of their difference mod q."""
     return mannheim_weight([(a - b) % q for a, b in zip(u, v, strict=True)], q)
+
+
+def traced_peak(run):
+    """(run(), the peak bytes tracemalloc traced while run ran)."""
+    tracemalloc.start()
+    try:
+        return run(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="session")

@@ -14,10 +14,11 @@ from leetoric.checks import (
     run_verification,
 )
 from leetoric.interleave import InterleavingMap
-from leetoric.lattice import determinant, digits_of, lin_indices
+from leetoric.lattice import det_adj, determinant, digits_of, lin_indices
 from leetoric.leecode import (
     MAX_SAMPLES,
     SWEEP_CHUNK,
+    MinDistanceResult,
     PerfectLeeCode,
     build_generators,
     check_verification_rules,
@@ -25,6 +26,8 @@ from leetoric.leecode import (
     sweep,
     weight_w_vectors,
 )
+
+from conftest import traced_peak
 
 
 def in_lattice(rows, x):
@@ -87,6 +90,31 @@ class TestMinDistanceReadsGenerators:
             for vec in weight_w_vectors(n, w, code.q):
                 assert code.lattice_membership(vec) == in_lattice(code.matrix, vec)
 
+    @pytest.mark.parametrize("kind", ["valid", "corrupt"])
+    @pytest.mark.parametrize("n", range(5, 13))
+    def test_sparse_search_is_the_dense_search(self, n, kind):
+        # the reference is each weight_w_vectors vector dotted with every full adj column;
+        # the corrupt code is verify --corrupt-generator's, v_2 with +1 on its last coordinate
+        gens = build_generators(n)
+        if kind == "corrupt":
+            gens = gens._replace(middle=(gens.middle[0][:-1] + (gens.middle[0][-1] + 1,),)
+                                 + gens.middle[1:])
+        code = PerfectLeeCode(gens)
+        for cap in (2, 4):
+            assert code.min_mannheim_distance(cap) == dense_search(code, cap)
+
+    def test_sparse_search_is_the_dense_search_on_every_generator_fault(self):
+        singular = 0
+        for code in generator_faults(5):
+            if code.det == 0:
+                singular += 1
+                for search in (code.min_mannheim_distance, lambda: dense_search(code)):
+                    with pytest.raises(ValueError, match="generator matrix is singular"):
+                        search()
+            else:
+                assert code.min_mannheim_distance() == dense_search(code)
+        assert singular > 0
+
     def test_singular_generator_fails_min_distance(self):
         # a singular A has no adjugate, so the sphere search has no membership
         # test: that is the check's verdict, not an abort
@@ -96,6 +124,18 @@ class TestMinDistanceReadsGenerators:
         assert not rows["min_distance"].ok
         assert rows["min_distance"].detail == (
             "minimum Mannheim distance not searched: generator matrix is singular")
+
+
+def dense_search(code, radius_cap=4):
+    """min_mannheim_distance by the full-length dot of each candidate with every column of adj A."""
+    det, adj = det_adj(code.matrix)
+    if adj is None:
+        raise ValueError("generator matrix is singular")
+    for w in range(1, radius_cap + 1):
+        for vec in weight_w_vectors(code.n, w, code.q):
+            if all(sum(a * b for a, b in zip(vec, col)) % det == 0 for col in zip(*adj)):
+                return MinDistanceResult(w, vec, True)
+    return MinDistanceResult(radius_cap + 1, None, False)
 
 
 class TestRunVerification:
@@ -339,6 +379,16 @@ class TestSweepPieces:
         else:
             assert leak == f"{SAMPLE_CAP} sampled addresses stay in their section, orientation intact"
 
+
+    @pytest.mark.parametrize(("n", "bound_mb"), [(8, 5), (12, 7)])
+    def test_sampled_roundtrip_memory_is_bounded(self, n, bound_mb):
+        # 10^6 slots walked in SWEEP_CHUNK pieces: 2^15-row pieces peaked at 4.01 / 5.60 MB,
+        # 2^16-row ones at 7.9-8.6 / 11.1 MB
+        map_ = InterleavingMap(generator_matrix(n))
+        (trip, leak), peak = traced_peak(lambda: _check_roundtrip_and_section_confinement(
+            map_.code, map_, "sampled", 10**6, 0))
+        assert trip == (True, f"{10**6} sampled slots round-trip") and leak[0]
+        assert peak < bound_mb * 10**6
 
 
 def generator_faults(n):

@@ -499,10 +499,10 @@ class TestRunawayLimits:
 
     @pytest.mark.parametrize("argv, message", [
         (["params", "--n", "601"],
-         "n = 601 is too large for the minimum-distance search, O(n^3) (n <= 600)"),
-        # every row is checked before the first row's distance search (~20 s at n = 600)
+         "n = 601 is too large for the minimum-distance search, O(n^2) (n <= 600)"),
+        # every row is checked before the first row's distance search (~2 s at n = 600)
         (["tables", "--rows", "600,601"],
-         "n = 601 is too large for the minimum-distance search, O(n^3) (n <= 600)"),
+         "n = 601 is too large for the minimum-distance search, O(n^2) (n <= 600)"),
         (["simulate", "--n", "1001", "--model", "translate", "--trials", "1"],
          "n = 1001 is too large to build: n^2 generator entries (n <= 1000)"),
         (["simulate", "--n", "151", "--model", "multi-translate", "--trials", "1"],
