@@ -1,6 +1,9 @@
 """The package's one binding of NumPy, loaded on its first attribute read: the
-exact paths (``code_params``, ``interleaved_params``, ``generator_matrix``, the
-``params`` and ``tables`` commands) read none, so they never run NumPy's import."""
+exact paths (``toric``'s ``code_params`` and ``interleaved_params``,
+``generator_matrix``, the ``params`` and ``tables`` commands) read none, so they
+never run NumPy's import.  The package root imports this module and no other
+(each submodule loads on the first read of one of its names), so ``import
+leetoric`` still fails where NumPy is not installed."""
 
 import importlib.util
 import sys

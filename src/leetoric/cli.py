@@ -6,12 +6,13 @@ Exit codes are a stable contract for CI, and ``main`` alone decides them:
 could not be written; 2 = usage error: any input rule, ``--precision`` and
 ``--rows`` included, raises ValueError before any output.  All JSON and CSV
 output is byte-identical across identical invocations; timings are text only.
+A command imports what only it runs (``checks``, ``interleave``, ``csv``) when
+it runs, so ``params`` and ``tables`` load neither module.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -19,13 +20,10 @@ import time
 from fractions import Fraction
 
 from ._numpy import np
-from .checks import run_verification
-from .interleave import (BURST_MODELS, InterleavingMap, check_simulation_rules, interleaved_params,
-                         simulate)
 from .lattice import digits_of, lin_indices
-from .leecode import (PerfectLeeCode, build_generators, check_n, check_verification_rules,
-                      generator_matrix)
-from .toric import code_params
+from .leecode import (BURST_MODELS, PerfectLeeCode, build_generators, check_n,
+                      check_verification_rules, generator_matrix)
+from .toric import code_params, interleaved_params
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -182,6 +180,8 @@ def cmd_params(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from .checks import run_verification
+
     mode = args.mode or ("exhaustive" if args.n == 5 else "sampled")
     code = None
     if args.corrupt_generator:
@@ -268,6 +268,8 @@ def cmd_tables(args) -> int:
     if args.format == "json":
         print(json.dumps(tables))
     elif args.format == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("code",) + CSV_COLUMNS)
         for kind, rows in tables.items():
@@ -297,6 +299,8 @@ def cmd_tables(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    from .interleave import InterleavingMap, check_simulation_rules, simulate
+
     # simulate's rules, before the code is built
     check_simulation_rules(args.n, args.model, args.trials, args.seed, args.count)
     map_ = InterleavingMap(generator_matrix(args.n))
@@ -362,6 +366,8 @@ def _physical_pieces(map_: InterleavingMap):
 
 def cmd_export_map(args) -> int:
     """Write the permutation in logical order, one piece of at most SWEEP_CHUNK (2^15) rows at a time."""
+    from .interleave import InterleavingMap
+
     check_n("index", args.n)  # before the code is built and --out is opened
     map_ = InterleavingMap(generator_matrix(args.n))
     binary = args.format == "binary"

@@ -9,21 +9,22 @@ position walks the in-section codeword order.  Because distinct
 codewords are at Mannheim distance >= 3, any radius-1 Lee sphere of
 physical errors deinterleaves into q distinct logical codewords, each
 left with at most the single error the component code can correct.
+The code's parameters (``InterleavedParams``, ``interleaved_params``) live in
+``toric`` and the model names (``BURST_MODELS``) in ``leecode``, so the exact
+commands load none of this module; this module imports all three back.
 """
 
 from __future__ import annotations
 
 import operator
-from fractions import Fraction
 from typing import Iterator, NamedTuple, Sequence
 
 from . import leecode
 from ._numpy import np
 from .lattice import IntVector, at_least, digits_of, hypercube_lin_index, in_range, lin_indices
-from .leecode import PerfectLeeCode, check_n
-from .toric import face_from_lin
+from .leecode import BURST_MODELS, PerfectLeeCode, check_n
+from .toric import InterleavedParams, face_from_lin, interleaved_params
 
-BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
 # simulate places and tallies bursts in chunks of about this many faces; larger
 # chunks cost peak memory and gain little (8192 raised the montecarlo peak RSS
 # from 36.5 to 37.7 MB)
@@ -41,35 +42,6 @@ class LogicalAddress(NamedTuple):
     rank: int
     orientation: int
     position: int
-
-
-class InterleavedParams(NamedTuple):
-    """Parameters of the interleaved code over the whole q^n lattice."""
-
-    n: int
-    q: int
-    length: int
-    dimension: int
-    t_i: int
-    R_i: Fraction
-    G_i: Fraction
-
-
-def interleaved_params(n: int) -> InterleavedParams:
-    """[[alpha q^n, alpha q^{n-1}, q^2]] with rate 1/q and gain (q^2+1)/q; n as check_n("params", n)."""
-    n = check_n("params", n)
-    q = 2 * n + 1
-    alpha = n * (n - 1) // 2
-    R_i = Fraction(1, q)
-    return InterleavedParams(
-        n=n,
-        q=q,
-        length=alpha * q**n,
-        dimension=alpha * q ** (n - 1),
-        t_i=q * q,
-        R_i=R_i,
-        G_i=R_i * (q * q + 1),
-    )
 
 
 class InterleavingMap:

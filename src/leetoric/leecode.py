@@ -46,6 +46,8 @@ _MAX_VIOLATIONS = 10
 # verify takes at most this many samples: the sampled sweep at n = 12 takes
 # ~36 s in process at 10^8 on 2 vCPUs, and would take ~6 min at 10^9
 MAX_SAMPLES = 10**8
+# the burst models of interleave.make_burst and simulate; each but translate is an N_LIMITS row
+BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
 # The one dimension rule, read by check_n: each use's largest n and the message
 # past it.  A limit compares n alone and builds no count.  Exhaustive verify
 # sweeps 21 * 15^7 slots at n = 7 in ~13 s; the bulk maps need every face index

@@ -5,7 +5,9 @@ the hypercube at its minimal corner, so each hypercube owns exactly
 alpha = n(n-1)/2 faces (one per unordered axis pair) and the lattice has
 alpha * q^n faces in total, even though each face geometrically touches
 2^{n-2} hypercubes.  A face is its linear index, hypercube index * alpha
-+ orientation.
++ orientation.  The interleaved code's parameters (``interleaved_params``)
+are here too, beside the component code's, so the exact commands ``params``
+and ``tables`` load no interleaver.
 """
 
 from __future__ import annotations
@@ -48,6 +50,35 @@ def code_params(n: int) -> ToricParams:
     t = (d - 1) // 2
     R = Fraction(code.alpha, N)
     return ToricParams(n=n, q=code.q, N=N, k=code.alpha, d=d, t=t, R=R, G=R * (t + 1))
+
+
+class InterleavedParams(NamedTuple):
+    """Parameters of the interleaved code over the whole q^n lattice."""
+
+    n: int
+    q: int
+    length: int
+    dimension: int
+    t_i: int
+    R_i: Fraction
+    G_i: Fraction
+
+
+def interleaved_params(n: int) -> InterleavedParams:
+    """[[alpha q^n, alpha q^{n-1}, q^2]] with rate 1/q and gain (q^2+1)/q; n as check_n("params", n)."""
+    n = check_n("params", n)
+    q = 2 * n + 1
+    alpha = n * (n - 1) // 2
+    R_i = Fraction(1, q)
+    return InterleavedParams(
+        n=n,
+        q=q,
+        length=alpha * q**n,
+        dimension=alpha * q ** (n - 1),
+        t_i=q * q,
+        R_i=R_i,
+        G_i=R_i * (q * q + 1),
+    )
 
 
 def face_from_lin(idx: int, n: int, q: int) -> tuple[IntVector, int]:

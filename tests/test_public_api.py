@@ -104,6 +104,45 @@ def test_numpy_runs_only_for_the_array_commands(probe, loads):
     assert out.stdout.splitlines()[-1] == str(loads)
 
 
+@pytest.mark.parametrize("argv, loads", [
+    ("params --n 5", []),
+    ("tables", []),
+    ("simulate --n 5 --model translate --trials 1", ["interleave"]),
+    ("export-map --n 5 --format binary --out /dev/null", ["interleave"]),
+    # verify runs the check battery, which maps through the interleaver: so the probe can fail
+    ("verify --n 5 --mode sampled --samples 1", ["checks", "interleave"]),
+], ids=["params", "tables", "simulate", "export-map", "verify"])
+def test_each_command_loads_only_the_modules_it_runs(argv, loads):
+    out = fresh_python(f"import sys; from leetoric import cli; cli.main({argv.split()!r}); "
+                       "print([m for m in ('checks', 'interleave') if 'leetoric.' + m in sys.modules])")
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.splitlines()[-1] == str(loads)
+
+
+def test_the_lazy_root_is_the_same_api():
+    # a fresh interpreter, so each name is read before its owner module is loaded
+    out = fresh_python(
+        "import leetoric\n"
+        "star = {}\n"
+        "exec('from leetoric import *', star)\n"
+        "del star['__builtins__']\n"
+        "from leetoric import checks, interleave, leecode, toric\n"
+        "owners = [vars(m) for m in (checks, interleave, leecode, toric)]\n"
+        "print(sorted(star) == sorted(leetoric.__all__), len(star))\n"
+        "print(all(any(k in o for o in owners) for k in star),\n"
+        "      all(o.get(k, v) is v for o in owners for k, v in star.items()))\n"
+        "print(leetoric.simulate is interleave.simulate, leetoric.interleaved_params\n"
+        "      is toric.interleaved_params is interleave.interleaved_params)\n"
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "True 24\nTrue True\nTrue True\n"
+
+
+def test_an_unknown_root_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="module 'leetoric' has no attribute 'face_from_lin'"):
+        leetoric.face_from_lin  # noqa: B018 -- only in leetoric.toric
+
+
 def test_numpy_loads_before_the_first_timed_check():
     # verify's text report times each check, so NumPy's import (~0.15 s) is paid
     # before the first of them, not in the first check that reads an array
