@@ -215,6 +215,7 @@ def _check_roundtrip_and_section_confinement(code, map_, mode, samples, seed):
         miss = moved if out is None else moved | out
         for row, want in zip(rows[1:-2] + rows[-1:], logical[1:-2] + logical[-1:]):
             miss = miss | (row != want)
+        del row, want  # each a view of a whole block of this piece, not to be held into the next
         if trip is None and (miss.any() or turned.any()):
             trip = f"round-trip mismatch at logical index {slot(first([miss, turned])[0])}"
         if leak is None and start < k and (moved.any() or turned.any()):

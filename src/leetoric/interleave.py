@@ -26,8 +26,8 @@ from .leecode import BURST_MODELS, PerfectLeeCode, check_n
 from .toric import InterleavedParams, face_from_lin, interleaved_params
 
 # simulate places and tallies bursts in chunks of about this many faces; larger
-# chunks cost peak memory and gain little (8192 raised the montecarlo peak RSS
-# from 36.5 to 37.7 MB)
+# chunks cost peak memory for little time (8192 raises the peak RSS of perfbench's
+# five montecarlo commands from 36.4 to 37.8 MB in process, and saves ~60 ms of their 0.24 s)
 CHUNK_FACES = 1024
 # uniform-random draws at most this many distinct faces: a trial keeps them in a
 # Python set, 0.97 s and 242 MB at count 2^21 and n = 6 in process on 2 vCPUs,
@@ -138,7 +138,9 @@ class InterleavingMap:
         """
         if mode != "exhaustive":
             for start, idx in leecode.sweep(self.n_faces, mode, k, seed):
-                yield start, list(digits_of(idx, self.logical_radices))
+                digits = list(digits_of(idx, self.logical_radices))
+                del idx  # the int64 draw, not held while the caller runs the piece
+                yield start, digits
             return
         n, q, alpha = self.n, self.q, self.alpha
         per_prefix = q * alpha if by_slot else q
@@ -229,7 +231,8 @@ def make_burst(
     count = _check_burst_rules(map_.n, model, count)
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(at_least("seed", rng, 0))
-    anchors, orientations, centers, _ = _place(map_, model, [_draw(map_, model, rng, count)])
+    draw = _draw(rng, _bounds(map_, model), count)
+    anchors, orientations, centers, _ = _place(map_, model, [draw])
     faces = frozenset(
         hypercube_lin_index(a, map_.q) * map_.alpha + o
         for a, o in zip(zip(*anchors.tolist()), orientations.tolist())
@@ -256,27 +259,30 @@ def _check_burst_rules(n: int, model: str, count: int | None) -> int | None:
     return count
 
 
-def _draw(
-    map_: InterleavingMap, model: str, rng: np.random.Generator, count: int | None
-) -> np.ndarray:
-    """The rng call of one burst, whose bounds and their order define the models of make_burst.
+def _bounds(map_: InterleavingMap, model: str) -> int | np.ndarray:
+    """The bounds of one burst's rng call, whose order defines the models of make_burst.
 
-    uniform-random draws its ``count`` face indices.  A sphere model makes
-    one call for a (spheres, width) array, a row per sphere: its center
-    (aligned: a rank; multi-translate: all but the section), then its q
-    orientations, which aligned draws though only make_burst reads them.
+    simulate builds them once.  uniform-random: n_faces, the bound of each of
+    its face indices.  A sphere model: a (spheres, width) int64 array, a row
+    per sphere: its center (aligned: a rank; multi-translate: all but the
+    section), then its q orientations, which aligned draws though only
+    make_burst reads them.
     """
     code, n, q = map_.code, map_.n, map_.q
     if model == "uniform-random":
-        return _sample_distinct(rng, map_.n_faces, count)
+        return map_.n_faces
     if model == "translate":
         spheres, head = 1, [q] * n
     elif model == "aligned":
         spheres, head = q, [code.codewords_per_section]
     else:
         spheres, head = q, [q] * (n - 1)
-    highs = (head + [code.alpha] * q) * spheres
-    return rng.integers(0, highs).reshape(spheres, -1)
+    return np.array([head + [code.alpha] * q] * spheres, dtype=np.int64)
+
+
+def _draw(rng: np.random.Generator, bounds: int | np.ndarray, count: int | None) -> np.ndarray:
+    """One burst's rng call: ``count`` distinct indices below bounds, else one below each bound."""
+    return rng.integers(0, bounds) if count is None else _sample_distinct(rng, bounds, count)
 
 
 def _place(
@@ -411,9 +417,10 @@ def simulate(
     histogram: dict[int, int] = {}
     drawn = {"translate": map_.q, "uniform-random": count}.get(model, map_.q**2)
     per_chunk = -(-CHUNK_FACES // max(drawn, 1))  # trials drawing about CHUNK_FACES faces
+    bounds = _bounds(map_, model)
     for first in range(0, trials, per_chunk):
         bursts = range(first, min(first + per_chunk, trials))
-        draws = [_draw(map_, model, trial_rng(master_seed, trial), count) for trial in bursts]
+        draws = [_draw(trial_rng(master_seed, trial), bounds, count) for trial in bursts]
         anchors, _, _, owner = _place(map_, model, draws)
         worst, tallies = _tally(map_.code, anchors, owner, len(bursts))
         successes += int(np.count_nonzero(worst <= 1))

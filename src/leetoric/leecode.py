@@ -36,8 +36,9 @@ from .lattice import (
 )
 
 # every bulk sweep walks its indices (or sampled rows) in pieces of this many;
-# 2^16 raised verify --n 8 --mode sampled's peak RSS from 40.4 to 44.7 MB, and
-# 2^14 lowered it to 38.2 MB but ran it 12% slower with twice the page faults
+# 2^16 raises verify --n 8 --mode sampled's peak RSS from 39.3 to 42.9 MB, and
+# 2^14 lowers it to 37.7 MB but runs export-map --n 6 --format binary in 1.44 s
+# with 147k page faults, against 0.88 s and 6.4k
 SWEEP_CHUNK = 1 << 15
 # the bulk certificates check at most this many rows of a sweep, spread over it, against the scalar oracle
 SCALAR_ROWS = 1000
@@ -54,9 +55,9 @@ BURST_MODELS = ("aligned", "translate", "multi-translate", "uniform-random")
 # alpha * q^n in int64, and uniform-random draws them; aligned draws its ranks
 # below q^(n-2) in int64.  The last three bound what grows with n, measured in
 # process on 2 vCPUs: building the code and one translate trial take 2.7 s and
-# 242 MB at n = 1000; params' distance search tests O(n^2) candidates, each on
+# 215 MB at n = 1000; params' distance search tests O(n^2) candidates, each on
 # at most two adj entries a coordinate, ~2 s and 62 MB at n = 600; a
-# multi-translate trial holds q^2 faces of n coordinates, 1.6 s and 458 MB at
+# multi-translate trial holds q^2 faces of n coordinates, 1.8 s and 369 MB at
 # n = 150.
 N_LIMITS = {
     "exhaustive": (7, "exhaustive verification is only supported for n <= {limit};"
@@ -354,7 +355,7 @@ class PerfectLeeCode:
         Row i is codeword_from_rank(j, r) + offsets[slot[i]] where the
         digits of row i are hypercube_from_lin(j * q^(n-2) + r, q, n-1);
         not range-checked.  The columns have the shape the digits and slot
-        broadcast to.
+        broadcast to, the rows of one array: the sums, reduced where they lie.
         """
         (*digits, slot), shape = _flat([*digits, slot])
         point = self._shift(_sums(digits, self._row_terms, self._dtype), slot, 1)
@@ -367,11 +368,14 @@ class PerfectLeeCode:
 
         The bulk tile_assign: the syndrome picks the slot, and the point
         left after removing its offset is multiplied by the peel matrix.
-        ``digits`` holds the n-1 int16 digit columns in encode's order.
-        ``bad`` flags rows whose point is not its digits times the digit
-        rows, where the peel would leave a rest: the point is off the
-        generator lattice, and its digits are meaningless.  Each output has
-        the shape the anchor columns broadcast to.
+        ``digits`` holds the n-1 _dtype digit columns in encode's order, the
+        rows of one array (the peel's sums, reduced where they lie): a caller
+        that keeps one of them keeps the whole block.  ``bad`` flags rows
+        whose point is not its digits times the digit rows, where the peel
+        would leave a rest: the point is off the generator lattice, and its
+        digits are meaningless.  Each output has the shape the anchor
+        columns broadcast to.  Beside its result, decode holds one copy of
+        the anchor, the point, and one (n, m) compare mask at a time.
         """
         reduce, dtype = self._reduce, self._dtype
         anchor, shape = _flat(anchor)
@@ -380,11 +384,10 @@ class PerfectLeeCode:
         # the point, left unreduced in [-1, q]: anchor minus the slot offset
         point = self._shift(np.array(anchor, dtype=dtype), slot, -1)
         digits = [reduce(s) for s in _sums(point, self._peel_terms, dtype)]
-        # a row is bad where some coordinate of its rest is nonzero mod q
-        rest = _sums(digits, self._row_terms, dtype)
-        rest -= point
+        # a row is bad where some coordinate of its rest, the digits times the digit
+        # rows minus the point, is nonzero mod q; the rest is summed into the point's rows
         bad = np.zeros(len(slot), dtype=dtype)
-        for r in rest:
+        for r in _sums(digits, self._row_terms, dtype, out=np.negative(point, out=point)):
             bad |= reduce(r)
         return [d.reshape(shape) for d in digits], slot.reshape(shape), (bad != 0).reshape(shape)
 
@@ -400,10 +403,13 @@ class PerfectLeeCode:
         return point
 
     def _reduce(self, s: np.ndarray) -> np.ndarray:
-        """s mod q as a _dtype column, for |s| < n q^2 + 2q: an int16 wrap of s // q * q cancels."""
+        """s mod q, in place, as _dtype, for |s| < n q^2 + 2q: an int16 wrap of s // q * q cancels."""
         # NumPy vectorises a floor division by a scalar, where % and a table gather are not;
         # burst placement passes int64 sums, which narrow here as the kernel's columns do
-        return (s - s // self.q * self.q).astype(self._dtype, copy=False)
+        t = s // self.q
+        t *= self.q
+        s -= t
+        return s.astype(self._dtype, copy=False)
 
     # -- distance certificates -----------------------------------------
 
@@ -535,13 +541,14 @@ def _flat(rows: Sequence[np.ndarray]) -> tuple[list[np.ndarray], tuple[int, ...]
     return [row.reshape(-1) for row in rows], rows[0].shape
 
 
-def _sums(columns: Sequence[np.ndarray], terms, dtype) -> np.ndarray:
-    """The columns times the matrix of ``terms``, unreduced: one dtype row per column of it.
+def _sums(columns: Sequence[np.ndarray], terms, dtype, out=None) -> np.ndarray:
+    """out (zeros if None) plus the columns times the matrix of ``terms``, unreduced: one dtype
+    row per column of it.
 
     A zero entry costs nothing, and an entry 1 adds its column without a
     multiply.
     """
-    out = np.zeros((len(terms), len(columns[0])), dtype=dtype)
+    out = np.zeros((len(terms), len(columns[0])), dtype=dtype) if out is None else out
     for acc, column_terms in zip(out, terms):
         for i, a in column_terms:
             acc += columns[i] if a == 1 else np.multiply(columns[i], a, dtype=dtype)

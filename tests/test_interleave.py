@@ -464,7 +464,7 @@ class TestMakeBurst:
         q, spheres = map_.q, 1 if model == "translate" else map_.q
         for trial in range(200):
             got_rng, want_rng = trial_rng(9, trial), trial_rng(9, trial)
-            got = interleave._draw(map_, model, got_rng, None)
+            got = interleave._draw(got_rng, interleave._bounds(map_, model), None)
             want = loop(want_rng, q, map_.alpha, map_.code.codewords_per_section)
             assert got.dtype == np.int64 and got.shape[0] == spheres
             assert got.ravel().tolist() == np.concatenate([np.atleast_1d(w) for w in want]).tolist()
@@ -518,7 +518,8 @@ class TestMakeBurst:
         # at n = 5 the multi-translate spheres overlap at the last three seeds
         for seed in [*range(10), 317, 459, 2070]:
             burst = make_burst(map_, model, seed)
-            drawn = interleave._draw(map_, model, np.random.default_rng(seed), None).tolist()
+            bounds = interleave._bounds(map_, model)
+            drawn = interleave._draw(np.random.default_rng(seed), bounds, None).tolist()
             if model == "aligned":
                 centers = [code.codeword_from_rank(j, row[0]).point for j, row in enumerate(drawn)]
             elif model == "translate":
